@@ -33,8 +33,9 @@ void sweep(models::ModelKind kind, bench::BenchReport& report) {
   const sim::PlatformModel platform;
 
   core::ReversiblePruner masked = pm.make_pruner();
-  core::CompactedLevelCache compact(pm.net, pm.levels, in,
-                                    pm.bn_states);
+  nn::Network ladder_net = pm.net.clone();
+  core::CompactedLadderProvider compact(ladder_net, pm.levels, in,
+                                        pm.bn_states);
 
   nn::Tensor x(in);
   Rng rng(5);

@@ -155,16 +155,17 @@ BENCHMARK(BM_InferMasked)->DenseRange(0, 4);
 
 void BM_InferCompact(benchmark::State& state) {
   auto& pm = detnet();
-  static core::CompactedLevelCache cache(pm.net, pm.levels,
-                                         models::zoo_input_shape(),
-                                         pm.bn_states);
-  cache.set_level(static_cast<int>(state.range(0)));
+  static nn::Network ladder_net = pm.net.clone();
+  static core::CompactedLadderProvider ladder(
+      ladder_net, pm.levels, models::zoo_input_shape(), pm.bn_states);
+  ladder.set_level(static_cast<int>(state.range(0)));
   const nn::Tensor x = sample_input();
+  nn::Tensor y;
   for (auto _ : state) {
-    auto y = cache.infer(x);
+    ladder.infer_into(x, y);
     benchmark::DoNotOptimize(y.raw());
   }
-  cache.set_level(0);
+  ladder.set_level(0);
 }
 BENCHMARK(BM_InferCompact)->DenseRange(0, 4);
 

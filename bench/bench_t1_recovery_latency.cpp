@@ -52,10 +52,12 @@ void run(models::ModelKind kind, bench::BenchReport& report) {
     results.push_back({"reversible-masked", us, bytes, "O(diff) copy-back"});
   }
   {  // compact-swap
-    core::CompactedLevelCache cache(pm.net, pm.levels, in, pm.bn_states);
+    nn::Network ladder_net = pm.net.clone();
+    core::CompactedLadderProvider ladder(ladder_net, pm.levels, in,
+                                         pm.bn_states);
     const double us = median_over(25, [&] {
-      cache.set_level(deepest);
-      return cache.set_level(0).wall_us;
+      ladder.set_level(deepest);
+      return ladder.set_level(0).wall_us;
     });
     results.push_back({"compact-swap", us, 0, "pointer swap"});
   }

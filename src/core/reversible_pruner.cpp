@@ -208,11 +208,23 @@ CompactedLadderProvider::CompactedLadderProvider(
     }
     rebuilds.add(1);
   }
+  // Lower every level once; the plans read the ladder's weights in place.
+  plans_.reserve(ladder_.size());
+  for (const nn::Network& level_net : ladder_)
+    plans_.emplace_back(level_net, input_shape);
   if (!bn_states.empty()) masked_.set_bn_states(std::move(bn_states));
 }
 
 nn::Tensor CompactedLadderProvider::infer(const nn::Tensor& x) {
-  return ladder_[static_cast<std::size_t>(current_level_)].forward(x, false);
+  nn::Tensor logits;
+  infer_into(x, logits);
+  return logits;
+}
+
+// rrp-frame-path: fast-path inference — the active level's compiled plan.
+void CompactedLadderProvider::infer_into(const nn::Tensor& x,
+                                         nn::Tensor& logits) {
+  plans_[static_cast<std::size_t>(current_level_)].execute(x, logits);
 }
 
 // rrp-frame-path: the O(1) ladder swap is THE per-frame transition
@@ -234,9 +246,10 @@ TransitionStats CompactedLadderProvider::set_level(int level) {
   return stats;
 }
 
+// rrp-frame-path: per-frame MAC accounting, O(1) from the plan.
 std::int64_t CompactedLadderProvider::active_macs(
     const nn::Shape& input_shape) {
-  return ladder_[static_cast<std::size_t>(current_level_)].macs(input_shape);
+  return plan_at(current_level_).macs_for(input_shape);
 }
 
 std::int64_t CompactedLadderProvider::resident_weight_bytes() {
@@ -253,6 +266,11 @@ nn::Network& CompactedLadderProvider::network_at(int level) {
   return ladder_[static_cast<std::size_t>(level)];
 }
 
+const nn::InferencePlan& CompactedLadderProvider::plan_at(int level) const {
+  RRP_CHECK(level >= 0 && level < level_count());
+  return plans_[static_cast<std::size_t>(level)];
+}
+
 CompactedLadderView::CompactedLadderView(CompactedLadderProvider& shared,
                                          int level)
     : shared_(&shared), level_count_(shared.level_count()) {
@@ -262,9 +280,16 @@ CompactedLadderView::CompactedLadderView(CompactedLadderProvider& shared,
 }
 
 nn::Tensor CompactedLadderView::infer(const nn::Tensor& x) {
-  // Eval-mode forward mutates nothing, so concurrent views — even two at
-  // the same level, over the same physical network — never race.
-  return shared_->network_at(level_).forward(x, /*training=*/false);
+  nn::Tensor logits;
+  infer_into(x, logits);
+  return logits;
+}
+
+// rrp-frame-path: per-stream fast-path inference.  Plans are immutable and
+// their scratch is per-thread, so concurrent views — even two at the same
+// level, over the same plan — never race.
+void CompactedLadderView::infer_into(const nn::Tensor& x, nn::Tensor& logits) {
+  shared_->plan_at(level_).execute(x, logits);
 }
 
 // rrp-frame-path: the per-stream O(1) view swap is the serving engine's
@@ -286,8 +311,9 @@ TransitionStats CompactedLadderView::set_level(int level) {
   return stats;
 }
 
+// rrp-frame-path: per-frame MAC accounting, O(1) from the shared plan.
 std::int64_t CompactedLadderView::active_macs(const nn::Shape& input_shape) {
-  return shared_->network_at(level_).macs(input_shape);
+  return shared_->plan_at(level_).macs_for(input_shape);
 }
 
 std::int64_t CompactedLadderView::resident_weight_bytes() {
@@ -296,68 +322,6 @@ std::int64_t CompactedLadderView::resident_weight_bytes() {
 
 const nn::Network& CompactedLadderView::active_network() const {
   return shared_->network_at(level_);
-}
-
-CompactedLevelCache::CompactedLevelCache(const nn::Network& net,
-                                         const prune::PruneLevelLibrary& levels,
-                                         const nn::Shape& input_shape,
-                                         const std::vector<BnState>& bn_states) {
-  RRP_CHECK_MSG(levels.structured(),
-                "compact mode requires a structured level library");
-  RRP_CHECK_MSG(levels.verify_nested(),
-                "level library violates the nesting invariant");
-  RRP_CHECK_MSG(bn_states.empty() ||
-                    static_cast<int>(bn_states.size()) == levels.level_count(),
-                "need exactly one BnState per level");
-  nets_.reserve(static_cast<std::size_t>(levels.level_count()));
-  for (int k = 0; k < levels.level_count(); ++k) {
-    if (bn_states.empty()) {
-      nets_.push_back(
-          prune::compact_network(net, levels.channel_masks(k), input_shape));
-      continue;
-    }
-    // Bake the level's calibrated statistics in BEFORE compaction so the
-    // channel gather keeps the right per-channel entries.
-    nn::Network staged = net.clone();
-    apply_bn_state(staged, bn_states[static_cast<std::size_t>(k)]);
-    nets_.push_back(
-        prune::compact_network(staged, levels.channel_masks(k), input_shape));
-  }
-}
-
-nn::Tensor CompactedLevelCache::infer(const nn::Tensor& x) {
-  return nets_[static_cast<std::size_t>(current_level_)].forward(x, false);
-}
-
-// rrp-frame-path: pointer-swap transition of the cached-compaction
-// baseline; measured against the ladder on the same frame loop.
-TransitionStats CompactedLevelCache::set_level(int level) {
-  RRP_CHECK_MSG(level >= 0 && level < level_count(),
-                "level " << level << " outside [0, " << level_count() << ")");
-  Timer timer;
-  TransitionStats stats;
-  stats.from_level = current_level_;
-  stats.to_level = level;
-  stats.is_restore = level < current_level_;
-  current_level_ = level;  // pointer swap — no weight traffic at all
-  stats.wall_us = timer.elapsed_us();
-  return stats;
-}
-
-std::int64_t CompactedLevelCache::active_macs(const nn::Shape& input_shape) {
-  return nets_[static_cast<std::size_t>(current_level_)].macs(input_shape);
-}
-
-std::int64_t CompactedLevelCache::resident_weight_bytes() {
-  std::int64_t total = 0;
-  for (auto& n : nets_)
-    total += n.param_count() * static_cast<std::int64_t>(sizeof(float));
-  return total;
-}
-
-nn::Network& CompactedLevelCache::network_at(int level) {
-  RRP_CHECK(level >= 0 && level < level_count());
-  return nets_[static_cast<std::size_t>(level)];
 }
 
 }  // namespace rrp::core

@@ -8,16 +8,20 @@
 //    WeightStore (restore).  Restore is "back to the future": O(Δ) memcpy,
 //    no disk, no retraining, bit-exact.
 //
-//  * CompactedLevelCache (compact mode) — pre-built physically-shrunk
-//    networks per level; switching is a pointer swap (O(1)) and inference
-//    actually gets faster, at the memory cost of caching every level.
+//  * CompactedLadderProvider (fast path) — pre-built physically-shrunk
+//    networks per level, each compiled into an allocation-free
+//    nn::InferencePlan; switching is an index swap (O(1)) and inference
+//    actually gets faster.  A masked ReversiblePruner rides along as the
+//    golden arm; CompactedLadderView gives each serving stream its own
+//    level over one shared ladder.
 //
-// Both implement InferenceProvider so the runtime controller, baselines and
+// All implement InferenceProvider so the runtime controller, baselines and
 // the scenario runner are interchangeable over them.
 #pragma once
 
 #include "core/bn_calibration.h"
 #include "core/weight_store.h"
+#include "nn/plan.h"
 #include "prune/compact.h"
 #include "prune/levels.h"
 
@@ -44,6 +48,13 @@ class InferenceProvider {
 
   virtual const std::string& name() const = 0;
   virtual nn::Tensor infer(const nn::Tensor& x) = 0;
+  /// Writes infer(x) into `logits`.  The default forwards to infer(), so a
+  /// wrapper that overrides only infer() still sees every call; the
+  /// compacted ladder overrides it to run its plan straight into the
+  /// caller's tensor, allocation-free once `logits` has its shape.
+  virtual void infer_into(const nn::Tensor& x, nn::Tensor& logits) {
+    logits = infer(x);
+  }
   virtual TransitionStats set_level(int level) = 0;
   virtual int current_level() const = 0;
   virtual int level_count() const = 0;
@@ -131,11 +142,13 @@ class ReversiblePruner : public InferenceProvider {
 ///
 /// At construction the full ladder is materialized once (one
 /// compact_network clone per level, that level's calibrated BN statistics
-/// baked in) next to a ReversiblePruner over the golden weights.  After
-/// that:
+/// baked in), each level is compiled into an nn::InferencePlan, and a
+/// ReversiblePruner is set up over the golden weights.  After that:
 ///
-///  * infer() runs the ACTIVE COMPACTED network — physically smaller
-///    tensors, so pruning buys real cycles, not just modeled ones;
+///  * infer()/infer_into() run the ACTIVE level's plan — physically
+///    smaller tensors, no allocation, no per-layer Tensor — so pruning
+///    buys real cycles, not just modeled ones; the output is bitwise
+///    network_at(level).forward (DESIGN.md invariant 13);
 ///  * set_level() swaps an index — O(1), no rebuild, no weight copy, no
 ///    allocation on the frame path (prune.ladder_rebuilds stays flat and
 ///    parameter storage addresses are stable; see test_fast_path.cpp);
@@ -147,7 +160,8 @@ class ReversiblePruner : public InferenceProvider {
 ///
 /// Numerically the compacted ladder matches the masked network to the
 /// tolerance of DESIGN.md invariant 13 (exact for Linear/Conv gathers; BN
-/// folding of pruned channels reorders no surviving arithmetic).
+/// folding of pruned channels reorders no surviving arithmetic).  The
+/// ladder networks and their plans are immutable after construction.
 class CompactedLadderProvider : public InferenceProvider {
  public:
   /// Snapshots `net` (level-0 golden) and materializes the ladder.
@@ -160,6 +174,7 @@ class CompactedLadderProvider : public InferenceProvider {
 
   const std::string& name() const override { return name_; }
   nn::Tensor infer(const nn::Tensor& x) override;
+  void infer_into(const nn::Tensor& x, nn::Tensor& logits) override;
   /// O(1): swaps the active-network index.  TransitionStats reports zero
   /// elements/bytes — the modeled switch cost is the platform's fixed
   /// overhead only — and the masked arm is deliberately NOT walked here.
@@ -168,6 +183,7 @@ class CompactedLadderProvider : public InferenceProvider {
   int level_count() const override {
     return static_cast<int>(ladder_.size());
   }
+  /// O(1): the dense MACs cached in the active level's plan.
   std::int64_t active_macs(const nn::Shape& input_shape) override;
   std::int64_t resident_weight_bytes() override;
 
@@ -183,21 +199,25 @@ class CompactedLadderProvider : public InferenceProvider {
   const ReversiblePruner& masked() const { return masked_; }
 
   nn::Network& network_at(int level);
+  /// The compiled plan of `level` (shared by every view).
+  const nn::InferencePlan& plan_at(int level) const;
 
  private:
   std::string name_ = "reversible-fastpath";
   ReversiblePruner masked_;
   std::vector<nn::Network> ladder_;
+  std::vector<nn::InferencePlan> plans_;  // plans_[k] runs ladder_[k]
   int current_level_ = 0;
 };
 
 /// A per-stream view over one shared CompactedLadderProvider.
 ///
 /// The serving engine (src/serve) runs N concurrent perception streams
-/// against ONE resident compacted ladder: the ladder networks are immutable
-/// after construction and eval-mode forward is non-mutating, so any number
-/// of views may infer concurrently — including two views at the same level
-/// over the very same network.  Each view carries its OWN level index, so a
+/// against ONE resident compacted ladder: the ladder's plans are immutable
+/// after construction and keep their scratch in a per-thread arena, so any
+/// number of views may infer concurrently — including two views at the
+/// same level over the very same plan.  Each view carries its OWN level
+/// index and no scratch of its own (a view is an index, not a buffer), so a
 /// stream's set_level is invisible to every other stream (the aliasing
 /// property pinned in test_fast_path.cpp): the swap touches only the view.
 ///
@@ -210,6 +230,7 @@ class CompactedLadderView : public InferenceProvider {
 
   const std::string& name() const override { return name_; }
   nn::Tensor infer(const nn::Tensor& x) override;
+  void infer_into(const nn::Tensor& x, nn::Tensor& logits) override;
   /// O(1): swaps this view's level index only.  Safe from pool chunk
   /// bodies — no shared state is written.
   TransitionStats set_level(int level) override;
@@ -231,34 +252,6 @@ class CompactedLadderView : public InferenceProvider {
   CompactedLadderProvider* shared_;
   int level_ = 0;
   int level_count_ = 0;
-};
-
-/// Compact-mode reversible pruning: every level pre-compacted and resident.
-/// Only valid for structured level libraries.
-class CompactedLevelCache : public InferenceProvider {
- public:
-  /// `bn_states` is optional switchable-BN data (one state per level,
-  /// captured on the MASKED network); each level's compacted network bakes
-  /// in its own calibrated statistics.
-  CompactedLevelCache(const nn::Network& net,
-                      const prune::PruneLevelLibrary& levels,
-                      const nn::Shape& input_shape,
-                      const std::vector<BnState>& bn_states = {});
-
-  const std::string& name() const override { return name_; }
-  nn::Tensor infer(const nn::Tensor& x) override;
-  TransitionStats set_level(int level) override;
-  int current_level() const override { return current_level_; }
-  int level_count() const override { return static_cast<int>(nets_.size()); }
-  std::int64_t active_macs(const nn::Shape& input_shape) override;
-  std::int64_t resident_weight_bytes() override;
-
-  nn::Network& network_at(int level);
-
- private:
-  std::string name_ = "reversible-compact";
-  std::vector<nn::Network> nets_;
-  int current_level_ = 0;
 };
 
 }  // namespace rrp::core

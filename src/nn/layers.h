@@ -11,6 +11,7 @@
 
 
 #include "nn/layer.h"
+#include "nn/op_kernels.h"
 
 namespace rrp::nn {
 
@@ -81,9 +82,10 @@ class Conv2D : public Layer {
 
   /// Spatial output extents for the given input extents.
   std::pair<int, int> out_hw(int h, int w) const;
+  /// One sample's geometry for the given input extents (nn/op_kernels.h).
+  ops::ConvGeometry geometry(int h, int w) const;
 
  private:
-  void im2col(const float* src, int h, int w, float* col) const;
   void col2im(const float* col, int h, int w, float* dst) const;
 
   int in_ch_, out_ch_, kernel_, stride_, padding_;
@@ -127,6 +129,8 @@ class DepthwiseConv2D : public Layer {
   void set_out_prunable(bool p) { out_prunable_ = p; }
 
   std::pair<int, int> out_hw(int h, int w) const;
+  /// One sample's geometry (in_ch == out_ch == channels).
+  ops::ConvGeometry geometry(int h, int w) const;
 
  private:
   int channels_, kernel_, stride_, padding_;

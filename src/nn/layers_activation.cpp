@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <cmath>
-
 #include "nn/layers.h"
 #include "util/checks.h"
 
@@ -8,7 +5,7 @@ namespace rrp::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool training) {
   Tensor y = x;
-  for (float& v : y.data()) v = std::max(v, 0.0f);
+  ops::relu(y.raw(), y.raw(), y.numel());
   if (training) cached_input_ = x;
   return y;
 }
@@ -35,18 +32,8 @@ Tensor Softmax::forward(const Tensor& x, bool training) {
   const int cols = x.size(-1);
   const std::int64_t rows = x.numel() / cols;
   Tensor y = x;
-  float* d = y.raw();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = d + r * cols;
-    const float m = *std::max_element(row, row + cols);
-    double z = 0.0;
-    for (int c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - m);
-      z += row[c];
-    }
-    const float inv = static_cast<float>(1.0 / z);
-    for (int c = 0; c < cols; ++c) row[c] *= inv;
-  }
+  for (std::int64_t r = 0; r < rows; ++r)
+    ops::softmax_row(y.raw() + r * cols, cols);
   return y;
 }
 

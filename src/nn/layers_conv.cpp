@@ -1,5 +1,3 @@
-#include <cstring>
-
 #include "nn/gemm.h"
 #include "nn/layers.h"
 #include "util/checks.h"
@@ -34,33 +32,9 @@ std::pair<int, int> Conv2D::out_hw(int h, int w) const {
   return {oh, ow};
 }
 
-// Unrolls one sample's input [in_ch, h, w] into col [in_ch*k*k, oh*ow].
-void Conv2D::im2col(const float* src, int h, int w, float* col) const {
+ops::ConvGeometry Conv2D::geometry(int h, int w) const {
   const auto [oh, ow] = out_hw(h, w);
-  const int k = kernel_;
-  std::int64_t row = 0;
-  for (int c = 0; c < in_ch_; ++c) {
-    const float* plane = src + static_cast<std::int64_t>(c) * h * w;
-    for (int ki = 0; ki < k; ++ki) {
-      for (int kj = 0; kj < k; ++kj, ++row) {
-        float* out = col + row * static_cast<std::int64_t>(oh) * ow;
-        for (int oi = 0; oi < oh; ++oi) {
-          const int ii = oi * stride_ - padding_ + ki;
-          if (ii < 0 || ii >= h) {
-            std::memset(out + static_cast<std::int64_t>(oi) * ow, 0,
-                        sizeof(float) * static_cast<std::size_t>(ow));
-            continue;
-          }
-          const float* srow = plane + static_cast<std::int64_t>(ii) * w;
-          float* orow = out + static_cast<std::int64_t>(oi) * ow;
-          for (int oj = 0; oj < ow; ++oj) {
-            const int jj = oj * stride_ - padding_ + kj;
-            orow[oj] = (jj >= 0 && jj < w) ? srow[jj] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  return {in_ch_, out_ch_, kernel_, stride_, padding_, h, w, oh, ow};
 }
 
 // Scatters col gradients [in_ch*k*k, oh*ow] back into [in_ch, h, w].
@@ -89,21 +63,14 @@ void Conv2D::col2im(const float* col, int h, int w, float* dst) const {
 }
 
 // rrp-frame-path: im2col-GEMM conv — the dominant per-frame inference cost.
-// NOTE(analyzer blind spot): the per-chunk `std::vector<float> col(...)`
-// scratch below is a constructor, which the call-site analyzer cannot see
-// (it extracts calls, not declarations). It is pool-worker scratch sized
-// once per chunk, not per frame-path growth; see DESIGN.md §7.
 Tensor Conv2D::forward(const Tensor& x, bool training) {
   RRP_CHECK_MSG(x.dim() == 4 && x.size(1) == in_ch_,
                 "Conv2D '" << name() << "' expects [N, " << in_ch_
                            << ", H, W], got " << shape_str(x.shape()));
   const int n = x.size(0), h = x.size(2), w = x.size(3);
-  const auto [oh, ow] = out_hw(h, w);
-  const std::int64_t col_rows = static_cast<std::int64_t>(in_ch_) * kernel_ *
-                                kernel_;
-  const std::int64_t col_cols = static_cast<std::int64_t>(oh) * ow;
-
-  Tensor y({n, out_ch_, oh, ow});
+  const ops::ConvGeometry g = geometry(h, w);
+  const std::int64_t col_rows = g.col_rows(), col_cols = g.col_cols();
+  Tensor y({n, out_ch_, g.oh, g.ow});
   static metrics::Counter& calls = metrics::counter("conv.calls");
   calls.add(1);
   RRP_SPAN_VAR(span, "conv.forward");
@@ -111,23 +78,14 @@ Tensor Conv2D::forward(const Tensor& x, bool training) {
                  col_cols);  // im2col-GEMM FMAs
   // Samples write disjoint output planes: fan the batch out over the pool
   // (each chunk owns a scratch col buffer; nested GEMMs stay serial).
+  // The eval frame path runs the allocation-free nn::InferencePlan
+  // instead; this scratch serves training and the masked arm.
   parallel_for(0, n, 1, [&](std::int64_t s_begin, std::int64_t s_end) {
-    std::vector<float> col(static_cast<std::size_t>(col_rows * col_cols));
-    for (std::int64_t s = s_begin; s < s_end; ++s) {
-      const float* src = x.raw() + s * in_ch_ * h * w;
-      im2col(src, h, w, col.data());
-      float* out = y.raw() + s * out_ch_ * col_cols;
-      // y[out_ch, oh*ow] = W[out_ch, col_rows] * col[col_rows, oh*ow]
-      gemm(out_ch_, col_cols, col_rows, 1.0f, weight_.raw(), col_rows,
-           col.data(), col_cols, 0.0f, out, col_cols);
-      if (with_bias_) {
-        for (int c = 0; c < out_ch_; ++c) {
-          float* plane = out + static_cast<std::int64_t>(c) * col_cols;
-          const float b = bias_[c];
-          for (std::int64_t i = 0; i < col_cols; ++i) plane[i] += b;
-        }
-      }
-    }
+    std::vector<float> col(static_cast<std::size_t>(g.col_floats()));
+    for (std::int64_t s = s_begin; s < s_end; ++s)
+      ops::conv2d(g, weight_.raw(), with_bias_ ? bias_.raw() : nullptr,
+                  x.raw() + s * in_ch_ * h * w, col.data(),
+                  y.raw() + s * out_ch_ * col_cols);
   });
   if (training) cached_input_ = x;
   return y;
@@ -138,14 +96,12 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
                 "Conv2D '" << name() << "' backward without forward(train)");
   const Tensor& x = cached_input_;
   const int n = x.size(0), h = x.size(2), w = x.size(3);
-  const auto [oh, ow] = out_hw(h, w);
+  const ops::ConvGeometry g = geometry(h, w);
   RRP_CHECK(grad_out.dim() == 4 && grad_out.size(0) == n &&
-            grad_out.size(1) == out_ch_ && grad_out.size(2) == oh &&
-            grad_out.size(3) == ow);
+            grad_out.size(1) == out_ch_ && grad_out.size(2) == g.oh &&
+            grad_out.size(3) == g.ow);
 
-  const std::int64_t col_rows = static_cast<std::int64_t>(in_ch_) * kernel_ *
-                                kernel_;
-  const std::int64_t col_cols = static_cast<std::int64_t>(oh) * ow;
+  const std::int64_t col_rows = g.col_rows(), col_cols = g.col_cols();
 
   Tensor grad_in(x.shape());
   // Per-sample weight/bias gradients land in private slices first; the
@@ -166,7 +122,7 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
       const float* gout = grad_out.raw() + s * out_ch_ * col_cols;
 
       // dW_s[out_ch, col_rows] = gout[out_ch, col_cols] * col^T
-      im2col(src, h, w, col.data());
+      ops::im2col(g, src, col.data());
       gemm_bt(out_ch_, col_rows, col_cols, 1.0f, gout, col_cols, col.data(),
               col_cols, 0.0f, dw.data() + s * wsize, col_rows);
 

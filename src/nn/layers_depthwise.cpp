@@ -30,6 +30,11 @@ std::pair<int, int> DepthwiseConv2D::out_hw(int h, int w) const {
   return {oh, ow};
 }
 
+ops::ConvGeometry DepthwiseConv2D::geometry(int h, int w) const {
+  const auto [oh, ow] = out_hw(h, w);
+  return {channels_, channels_, kernel_, stride_, padding_, h, w, oh, ow};
+}
+
 // rrp-frame-path: direct depthwise conv loop on the per-frame path.
 Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
   RRP_CHECK_MSG(x.dim() == 4 && x.size(1) == channels_,
@@ -37,13 +42,13 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
                                     << ", H, W], got "
                                     << shape_str(x.shape()));
   const int n = x.size(0), h = x.size(2), w = x.size(3);
-  const auto [oh, ow] = out_hw(h, w);
-  Tensor y({n, channels_, oh, ow});
+  const ops::ConvGeometry g = geometry(h, w);
+  Tensor y({n, channels_, g.oh, g.ow});
   const int kk = kernel_;
   static metrics::Counter& calls = metrics::counter("depthwise.calls");
   static metrics::Counter& flops = metrics::counter("depthwise.flops");
-  const std::int64_t fma = static_cast<std::int64_t>(n) * channels_ * oh * ow *
-                           kk * kk;  // upper bound; padding skips some taps
+  const std::int64_t fma = static_cast<std::int64_t>(n) * channels_ * g.oh *
+                           g.ow * kk * kk;  // upper bound; padding skips taps
   calls.add(1);
   flops.add(fma);
   RRP_SPAN_VAR(span, "depthwise.forward");
@@ -56,30 +61,11 @@ Tensor DepthwiseConv2D::forward(const Tensor& x, bool training) {
       0, static_cast<std::int64_t>(n) * channels_, 1,
       [&](std::int64_t p_begin, std::int64_t p_end) {
         for (std::int64_t p = p_begin; p < p_end; ++p) {
-          const std::int64_t s = p / channels_;
           const int c = static_cast<int>(p % channels_);
-          const float* plane = x.raw() + (s * channels_ + c) * h * w;
-          const float* filter =
-              weight_.raw() + static_cast<std::int64_t>(c) * kk * kk;
-          float* out = y.raw() + (s * channels_ + c) * oh * ow;
-          const float b = with_bias_ ? bias_[c] : 0.0f;
-          for (int oi = 0; oi < oh; ++oi) {
-            for (int oj = 0; oj < ow; ++oj) {
-              double acc = b;
-              for (int ki = 0; ki < kk; ++ki) {
-                const int ii = oi * stride_ - padding_ + ki;
-                if (ii < 0 || ii >= h) continue;
-                for (int kj = 0; kj < kk; ++kj) {
-                  const int jj = oj * stride_ - padding_ + kj;
-                  if (jj < 0 || jj >= w) continue;
-                  acc += static_cast<double>(filter[ki * kk + kj]) *
-                         plane[static_cast<std::int64_t>(ii) * w + jj];
-                }
-              }
-              out[static_cast<std::int64_t>(oi) * ow + oj] =
-                  static_cast<float>(acc);
-            }
-          }
+          ops::depthwise_plane(
+              g, x.raw() + p * h * w,
+              weight_.raw() + static_cast<std::int64_t>(c) * kk * kk,
+              with_bias_ ? bias_[c] : 0.0f, y.raw() + p * g.oh * g.ow);
         }
       });
   if (training) cached_input_ = x;

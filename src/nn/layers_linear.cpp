@@ -48,13 +48,8 @@ Tensor Linear::forward(const Tensor& x, bool training) {
                            << "], got " << shape_str(x.shape()));
   const int n = x.size(0);
   Tensor y({n, out_features_});
-  // y[N, out] = x[N, in] * W^T (W is [out, in])
-  gemm_bt(n, out_features_, in_features_, 1.0f, x.raw(), in_features_,
-          weight_.raw(), in_features_, 0.0f, y.raw(), out_features_);
-  if (with_bias_) {
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < out_features_; ++j) y.at(i, j) += bias_[j];
-  }
+  ops::linear(n, in_features_, out_features_, weight_.raw(),
+              with_bias_ ? bias_.raw() : nullptr, x.raw(), y.raw());
   if (training) cached_input_ = x;
   return y;
 }

@@ -43,12 +43,12 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
   if (!training) {
     for (int s = 0; s < v.n; ++s) {
       for (int c = 0; c < v.c; ++c) {
-        const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
-        const float scale = gamma_[c] * inv_std;
-        const float shift = beta_[c] - running_mean_[c] * scale;
         float* plane =
             y.raw() + (static_cast<std::int64_t>(s) * v.c + c) * v.hw;
-        for (int i = 0; i < v.hw; ++i) plane[i] = plane[i] * scale + shift;
+        ops::affine_plane(plane, plane, v.hw,
+                          ops::batchnorm_affine(gamma_[c], beta_[c],
+                                                running_mean_[c],
+                                                running_var_[c], eps_));
       }
     }
     return y;

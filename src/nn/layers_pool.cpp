@@ -1,6 +1,3 @@
-#include <algorithm>
-#include <limits>
-
 #include "nn/layers.h"
 #include "util/checks.h"
 
@@ -30,34 +27,13 @@ Tensor MaxPool::forward(const Tensor& x, bool training) {
     cached_in_shape_ = x.shape();
     argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
   }
-  std::int64_t oidx = 0;
-  for (int s = 0; s < n; ++s) {
-    for (int ch = 0; ch < c; ++ch) {
-      const float* plane =
-          x.raw() + (static_cast<std::int64_t>(s) * c + ch) * h * w;
-      const std::int64_t plane_base =
-          (static_cast<std::int64_t>(s) * c + ch) * h * w;
-      for (int oi = 0; oi < oh; ++oi) {
-        for (int oj = 0; oj < ow; ++oj, ++oidx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
-          for (int ki = 0; ki < kernel_; ++ki) {
-            const int ii = oi * stride_ + ki;
-            for (int kj = 0; kj < kernel_; ++kj) {
-              const int jj = oj * stride_ + kj;
-              const float v = plane[static_cast<std::int64_t>(ii) * w + jj];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + static_cast<std::int64_t>(ii) * w + jj;
-              }
-            }
-          }
-          y[oidx] = best;
-          if (training) argmax_[static_cast<std::size_t>(oidx)] = best_idx;
-        }
-      }
-    }
-  }
+  const std::int64_t planes = static_cast<std::int64_t>(n) * c;
+  const std::int64_t out_plane = static_cast<std::int64_t>(oh) * ow;
+  for (std::int64_t p = 0; p < planes; ++p)
+    ops::maxpool_plane(x.raw() + p * h * w, w, kernel_, stride_, oh, ow,
+                       y.raw() + p * out_plane,
+                       training ? argmax_.data() + p * out_plane : nullptr,
+                       p * h * w);
   return y;
 }
 
@@ -91,26 +67,10 @@ Tensor AvgPool::forward(const Tensor& x, bool training) {
   const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
   const auto [oh, ow] = pool_out_hw(h, w, kernel_, stride_);
   Tensor y({n, c, oh, ow});
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  std::int64_t oidx = 0;
-  for (int s = 0; s < n; ++s) {
-    for (int ch = 0; ch < c; ++ch) {
-      const float* plane =
-          x.raw() + (static_cast<std::int64_t>(s) * c + ch) * h * w;
-      for (int oi = 0; oi < oh; ++oi) {
-        for (int oj = 0; oj < ow; ++oj, ++oidx) {
-          double acc = 0.0;
-          for (int ki = 0; ki < kernel_; ++ki) {
-            const int ii = oi * stride_ + ki;
-            for (int kj = 0; kj < kernel_; ++kj)
-              acc += plane[static_cast<std::int64_t>(ii) * w + oj * stride_ +
-                           kj];
-          }
-          y[oidx] = static_cast<float>(acc) * inv;
-        }
-      }
-    }
-  }
+  const std::int64_t planes = static_cast<std::int64_t>(n) * c;
+  for (std::int64_t p = 0; p < planes; ++p)
+    ops::avgpool_plane(x.raw() + p * h * w, w, kernel_, stride_, oh, ow,
+                       y.raw() + p * oh * ow);
   if (training) cached_in_shape_ = x.shape();
   return y;
 }
@@ -160,16 +120,8 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
   RRP_CHECK_MSG(x.dim() == 4, "GlobalAvgPool expects NCHW");
   const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
   Tensor y({n, c});
-  const float inv = 1.0f / static_cast<float>(h * w);
-  for (int s = 0; s < n; ++s) {
-    for (int ch = 0; ch < c; ++ch) {
-      const float* plane =
-          x.raw() + (static_cast<std::int64_t>(s) * c + ch) * h * w;
-      double acc = 0.0;
-      for (int i = 0; i < h * w; ++i) acc += plane[i];
-      y.at(s, ch) = static_cast<float>(acc) * inv;
-    }
-  }
+  for (std::int64_t p = 0; p < static_cast<std::int64_t>(n) * c; ++p)
+    y.raw()[p] = ops::global_avg(x.raw() + p * h * w, h * w);
   if (training) cached_in_shape_ = x.shape();
   return y;
 }

@@ -55,15 +55,18 @@ LossResult mse(const Tensor& pred, const Tensor& target) {
   return r;
 }
 
+int argmax_row(const Tensor& logits, int row) {
+  RRP_CHECK(logits.dim() == 2 && row >= 0 && row < logits.size(0));
+  const int k = logits.size(1);
+  const float* r = logits.raw() + static_cast<std::int64_t>(row) * k;
+  return static_cast<int>(std::max_element(r, r + k) - r);
+}
+
 std::vector<int> argmax_rows(const Tensor& logits) {
   RRP_CHECK(logits.dim() == 2);
-  const int n = logits.size(0), k = logits.size(1);
-  std::vector<int> out(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const float* row = logits.raw() + static_cast<std::int64_t>(i) * k;
-    out[static_cast<std::size_t>(i)] =
-        static_cast<int>(std::max_element(row, row + k) - row);
-  }
+  std::vector<int> out(static_cast<std::size_t>(logits.size(0)));
+  for (int i = 0; i < logits.size(0); ++i)
+    out[static_cast<std::size_t>(i)] = argmax_row(logits, i);
   return out;
 }
 

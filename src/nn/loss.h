@@ -22,6 +22,8 @@ LossResult mse(const Tensor& pred, const Tensor& target);
 
 /// Argmax over the last dimension of each row of [N, classes].
 std::vector<int> argmax_rows(const Tensor& logits);
+/// argmax_rows(logits)[row] without building the vector.
+int argmax_row(const Tensor& logits, int row);
 
 /// Fraction of rows whose argmax equals the label.
 double accuracy(const Tensor& logits, const std::vector<int>& labels);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "nn/op_kernels.h"
 #include "util/checks.h"
 
 namespace rrp::nn {
@@ -130,7 +131,7 @@ Tensor& Tensor::add_(const Tensor& other) {
   RRP_CHECK_MSG(shape_ == other.shape_, "add_ shape mismatch "
                                             << shape_str(shape_) << " vs "
                                             << shape_str(other.shape_));
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  ops::add(other.raw(), raw(), numel());
   return *this;
 }
 

@@ -21,7 +21,8 @@ StreamState::StreamState(const Scenario& scenario_in,
       noise(config.noise_seed),
       energy_left(config.energy_budget_mj),
       estimator(config.perception_criticality),
-      injector(config.faults, harness_in ? harness_in->targets : FaultTargets{}) {
+      injector(config.faults, harness_in ? harness_in->targets : FaultTargets{}),
+      input_frame(input_shape(config.vision)) {
   result.scenario = scenario_in.name;
   result.provider = controller_in.provider().name();
   result.policy = controller_in.policy().name();
@@ -151,33 +152,34 @@ void FrameEngine::step(StreamState& s) const {
   const bool blackout = (config.sensor_blackout_prob > 0.0 &&
                          s.noise.bernoulli(config.sensor_blackout_prob)) ||
                         faults.blackout;
-  Scene sensed_view = scene;
-  if (blackout) sensed_view.actors.clear();  // empty road, noise only
-  nn::Tensor frame;
   {
     RRP_SPAN("render");
-    frame = render_scene(sensed_view, config.vision, s.noise);
+    if (blackout) {
+      // Empty road, noise only: same visibility, no actors.
+      Scene road = scene;
+      road.actors.clear();
+      render_scene_into(road, config.vision, s.noise, s.input_frame);
+    } else {
+      render_scene_into(scene, config.vision, s.noise, s.input_frame);
+    }
   }
-  nn::Tensor logits;
   double infer_wall_us = 0.0;
   {
     RRP_SPAN("infer");
-    nn::Shape batched = frame.shape();
-    batched.insert(batched.begin(), 1);
     if (config.measure_wall) {
       // Measured wall-clock rides NEXT TO the deterministic pipeline:
       // the reading lands only in RunResult::wall, never in telemetry,
       // metrics or trace.
       Timer wall;
-      logits = controller.provider().infer(frame.reshape(batched));
+      controller.provider().infer_into(s.input_frame, s.logits);
       infer_wall_us = wall.elapsed_us();
     } else {
-      logits = controller.provider().infer(frame.reshape(batched));
+      controller.provider().infer_into(s.input_frame, s.logits);
     }
   }
-  const int pred = nn::argmax_rows(logits)[0];
+  const int pred = nn::argmax_row(s.logits, 0);
   const int label = scene_label(scene);
-  s.perceived = s.estimator.update(pred, logits.reshape({logits.size(-1)}));
+  s.perceived = s.estimator.update(pred, s.logits);
 
   // Account: platform-model latency/energy for this frame.
   const std::int64_t macs = controller.provider().active_macs(in_shape_);

@@ -56,6 +56,11 @@ struct StreamState {
   std::int64_t prev_repairs = 0;
   std::int64_t prev_degrades = 0;
   std::size_t credit_idx = 0;
+  // Per-stream frame buffers, shaped once: the rendered batch-1 input
+  // [1, 1, H, W] and the provider's logits, reused every frame so step()
+  // moves no tensor storage.
+  nn::Tensor input_frame;
+  nn::Tensor logits;
 
   std::size_t frame = 0;  ///< next frame to execute
   RunResult result;

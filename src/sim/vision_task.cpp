@@ -79,9 +79,16 @@ void draw_stencil(nn::Tensor& img, ActorType type, int cr, int cc, int hs,
 
 nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
                         Rng& rng) {
+  nn::Tensor img({1, config.height, config.width});
+  render_scene_into(scene, config, rng, img);
+  return img;
+}
+
+void render_scene_into(const Scene& scene, const VisionTaskConfig& config,
+                       Rng& rng, nn::Tensor& img) {
   const int h = config.height, w = config.width;
   RRP_CHECK(h >= 8 && w >= 8);
-  nn::Tensor img({1, h, w});
+  RRP_CHECK(img.numel() == static_cast<std::int64_t>(h) * w);
 
   // Road background: brighter toward the bottom of the frame.
   for (int r = 0; r < h; ++r) {
@@ -94,7 +101,10 @@ nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
   // Draw every actor the sensor can resolve; nearest dominates visually
   // because it is drawn last and largest.  Beyond-range actors are not
   // rendered at all — consistent with scene_label(), which ignores them.
-  std::vector<const Actor*> sorted;
+  // Per-thread scratch: cleared, never shrunk, so a steady-state frame
+  // does not allocate.
+  thread_local std::vector<const Actor*> sorted;
+  sorted.clear();
   for (const Actor& a : scene.actors)
     if (a.distance_m <= kSensorRange_m) sorted.push_back(&a);
   std::sort(sorted.begin(), sorted.end(),
@@ -125,7 +135,6 @@ nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
       config.base_noise * (1.6 - 0.6 * std::clamp(scene.visibility, 0.0, 1.0));
   for (float& v : img.data())
     v = std::clamp(v + static_cast<float>(rng.normal(0.0, sigma)), 0.0f, 2.0f);
-  return img;
 }
 
 Scene random_scene(const VisionTaskConfig& config, Rng& rng) {

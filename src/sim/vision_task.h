@@ -28,6 +28,13 @@ int scene_label(const Scene& scene);
 nn::Tensor render_scene(const Scene& scene, const VisionTaskConfig& config,
                         Rng& rng);
 
+/// render_scene into a caller-owned tensor of H*W elements (any shape —
+/// the frame loop passes its batch-1 input [1, 1, H, W]); every pixel is
+/// overwritten and the RNG draws are the same.  Allocation-free once this
+/// thread has rendered a scene with as many actors.
+void render_scene_into(const Scene& scene, const VisionTaskConfig& config,
+                       Rng& rng, nn::Tensor& img);
+
 /// Batch-1 input shape for networks consuming this task.
 nn::Shape input_shape(const VisionTaskConfig& config);
 

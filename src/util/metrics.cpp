@@ -217,7 +217,7 @@ MetricDomain::MetricDomain(std::vector<Label> labels)
                     "duplicate metric label key '" << labels_[i].first << "'");
   }
   if (!labels_.empty()) {
-    suffix_ = "{";
+    suffix_ += '{';  // suffix_ is empty here
     for (std::size_t i = 0; i < labels_.size(); ++i) {
       if (i > 0) suffix_ += ',';
       suffix_ += labels_[i].first;

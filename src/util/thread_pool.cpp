@@ -109,7 +109,7 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
-                              std::int64_t grain, const ChunkFn& fn) {
+                              std::int64_t grain, ChunkFn fn) {
   if (begin >= end) return;
   grain = std::max<std::int64_t>(1, grain);
   const std::int64_t chunks = (end - begin + grain - 1) / grain;

@@ -23,18 +23,45 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace rrp {
+
+/// Non-owning reference to a chunk body `void(std::int64_t, std::int64_t)`
+/// — two pointers, no heap.  parallel_for blocks until every chunk has
+/// run, so a reference to the caller's lambda (a temporary included)
+/// outlives every use; unlike std::function, a capture list of any size
+/// costs no allocation.
+class ChunkRef {
+ public:
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, ChunkRef> &&
+                std::is_invocable_v<F&, std::int64_t, std::int64_t>>>
+  ChunkRef(F&& fn) noexcept
+      : obj_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::int64_t b, std::int64_t e) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(b, e);
+        }) {}
+
+  void operator()(std::int64_t b, std::int64_t e) const { call_(obj_, b, e); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::int64_t, std::int64_t);
+};
 
 class ThreadPool {
  public:
   /// Chunk body: processes the half-open index range [chunk_begin,
   /// chunk_end).
-  using ChunkFn = std::function<void(std::int64_t, std::int64_t)>;
+  using ChunkFn = ChunkRef;
 
   /// Spawns `threads - 1` workers (the caller participates as the Nth).
   /// `threads` is clamped to >= 1; a pool of size 1 owns no threads.
@@ -51,7 +78,7 @@ class ThreadPool {
   /// Chunks may execute concurrently and in any order; see the header
   /// comment for the determinism contract.  `grain` is clamped to >= 1.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const ChunkFn& fn);
+                    ChunkFn fn);
 
   /// True when called from inside one of this pool's workers.
   static bool in_worker();
@@ -77,7 +104,7 @@ class ThreadPool {
 
  private:
   struct Job {
-    const ChunkFn* fn = nullptr;
+    const ChunkFn* fn = nullptr;  // the caller's, alive until the job ends
     std::int64_t begin = 0;
     std::int64_t end = 0;
     std::int64_t grain = 1;
@@ -104,7 +131,7 @@ class ThreadPool {
 
 /// Convenience wrapper over the global pool.
 inline void parallel_for(std::int64_t begin, std::int64_t end,
-                         std::int64_t grain, const ThreadPool::ChunkFn& fn) {
+                         std::int64_t grain, ThreadPool::ChunkFn fn) {
   ThreadPool::global().parallel_for(begin, end, grain, fn);
 }
 

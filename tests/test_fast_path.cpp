@@ -17,7 +17,11 @@
 //       and parameter storage addresses are stable across swaps;
 //   F4  kernel variants are bit-identical — reference / blocked / avx2
 //       produce byte-equal C for any row partition, and the public gemm
-//       entry points are bit-exact across thread counts (1/2/8).
+//       entry points are bit-exact across thread counts (1/2/8);
+//   F5  plan ≡ forward, bitwise — every level's compiled InferencePlan
+//       reproduces network_at(k).forward byte for byte across the sweep
+//       and for every zoo model, and concurrent views at one level give
+//       the same bytes at RRP_THREADS=8 as at 1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "core/reversible_pruner.h"
+#include "models/zoo.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
 #include "prune/levels.h"
@@ -265,6 +270,98 @@ TEST(FastPath, SharedLadderViewsAliasWithoutInterference) {
   EXPECT_TRUE(b.infer(x).equals(a_ref));
   // The shared provider's own cursor was never touched by any view.
   EXPECT_EQ(shared.current_level(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// F5: the compiled plan is bitwise Network::forward.
+// ---------------------------------------------------------------------------
+
+TEST(FastPath, PlanIsBitIdenticalToForwardAtEveryLevel) {
+  Rng rng(kSweepSeed + 2);
+  for (int i = 0; i < kConfigs; ++i) {
+    const Config c = draw_config(rng);
+    nn::Network net = make_net(c);
+    CompactedLadderProvider fast(
+        net,
+        prune::PruneLevelLibrary::build_structured(net, c.ratios,
+                                                   tiny_input_shape()),
+        tiny_input_shape());
+    // Batch 3: the plan runs once per sample, forward once per batch.
+    const nn::Tensor x = random_tensor({3, 1, 8, 8}, c.net_seed + 2);
+    nn::Tensor y;
+    for (int k = 0; k < fast.level_count(); ++k) {
+      fast.set_level(k);
+      fast.infer_into(x, y);
+      const nn::Tensor ref = fast.network_at(k).forward(x, false);
+      EXPECT_TRUE(y.equals(ref)) << describe(c, i) << " level " << k;
+      EXPECT_EQ(fast.active_macs(tiny_input_shape()),
+                fast.network_at(k).macs(tiny_input_shape()))
+          << describe(c, i) << " level " << k;
+    }
+  }
+}
+
+TEST(FastPath, EveryZooModelCompilesToAPlan) {
+  const nn::Shape in = models::zoo_input_shape();
+  for (models::ModelKind kind : models::all_model_kinds()) {
+    const std::string name = models::model_kind_name(kind);
+    Rng rng(90 + static_cast<std::uint64_t>(kind));
+    nn::Network net = models::build_model(kind, rng);
+    CompactedLadderProvider fast(
+        net,
+        prune::PruneLevelLibrary::build_structured(net, {0.0, 0.4, 0.8}, in),
+        in);
+    const nn::Tensor x = random_tensor({2, 1, 16, 16}, 91);
+    nn::Tensor y;
+    for (int k = 0; k < fast.level_count(); ++k) {
+      EXPECT_GT(fast.plan_at(k).op_count(), 0u) << name;
+      EXPECT_EQ(fast.plan_at(k).output_shape(),
+                fast.network_at(k).output_shape(in))
+          << name;
+      fast.set_level(k);
+      fast.infer_into(x, y);
+      EXPECT_TRUE(y.equals(fast.network_at(k).forward(x, false)))
+          << name << " level " << k;
+    }
+  }
+}
+
+TEST(FastPath, ConcurrentViewsAreThreadCountInvariant) {
+  Rng rng(92);
+  nn::Network net = models::build_model(models::ModelKind::DetNet, rng);
+  const nn::Shape in = models::zoo_input_shape();
+  CompactedLadderProvider shared(
+      net, prune::PruneLevelLibrary::build_structured(net, {0.0, 0.5}, in),
+      in);
+  constexpr int kViews = 2, kFrames = 6;
+  std::vector<nn::Tensor> frames;
+  for (int f = 0; f < kFrames; ++f)
+    frames.push_back(random_tensor(in, 93 + static_cast<std::uint64_t>(f)));
+
+  // Two views at the SAME level infer their frames concurrently.
+  auto run = [&](int threads) {
+    ThreadCountGuard guard(threads);
+    std::vector<CompactedLadderView> views;
+    for (int v = 0; v < kViews; ++v) views.emplace_back(shared, 1);
+    std::vector<std::vector<nn::Tensor>> out(
+        kViews, std::vector<nn::Tensor>(kFrames));
+    parallel_for(0, kViews, 1, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t v = b; v < e; ++v)
+        for (int f = 0; f < kFrames; ++f)
+          views[static_cast<std::size_t>(v)].infer_into(
+              frames[static_cast<std::size_t>((f + v) % kFrames)],
+              out[static_cast<std::size_t>(v)][static_cast<std::size_t>(f)]);
+    });
+    return out;
+  };
+  const auto serial = run(1);
+  const auto parallel = run(8);
+  for (std::size_t v = 0; v < kViews; ++v)
+    for (std::size_t f = 0; f < kFrames; ++f)
+      EXPECT_TRUE(serial[v][f].equals(parallel[v][f]))
+          << "view " << v << " frame " << f;
+  // The same frame through either view is the same bytes.
+  EXPECT_TRUE(serial[0][1].equals(serial[1][0]));
 }
 
 // ---------------------------------------------------------------------------

@@ -213,37 +213,39 @@ TEST(ReversiblePruner, BnStatesCountRequired) {
   EXPECT_THROW(rp.set_bn_states({BnState{}}), PreconditionError);
 }
 
+// The compacted level cache of CompactedLadderProvider: one physically
+// shrunk network (and its compiled plan) per level, next to the masked
+// golden arm.
+
 TEST(CompactedLevelCache, SwitchIsPointerSwap) {
   nn::Network net = tiny_conv_net(17);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
-  const auto s = cache.set_level(2);
+  CompactedLadderProvider ladder(net, structured_lib(net), tiny_input_shape());
+  const auto s = ladder.set_level(2);
   EXPECT_EQ(s.elements_changed, 0);
   EXPECT_EQ(s.bytes_written, 0);
-  EXPECT_EQ(cache.current_level(), 2);
+  EXPECT_EQ(ladder.current_level(), 2);
 }
 
 TEST(CompactedLevelCache, MatchesMaskedOutputs) {
   nn::Network net = tiny_conv_net(18);
-  auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
-  ReversiblePruner rp(net, std::move(lib));
+  CompactedLadderProvider ladder(net, structured_lib(net), tiny_input_shape());
   const nn::Tensor x = random_tensor({2, 1, 8, 8}, 19);
-  for (int k = 0; k < rp.level_count(); ++k) {
-    rp.set_level(k);
-    cache.set_level(k);
-    EXPECT_LT(rp.infer(x).max_abs_diff(cache.infer(x)), 1e-4f) << k;
+  for (int k = 0; k < ladder.level_count(); ++k) {
+    ladder.set_level(k);
+    ladder.sync_masked();  // the masked golden arm as the reference
+    EXPECT_LT(ladder.masked().infer(x).max_abs_diff(ladder.infer(x)), 1e-4f)
+        << k;
   }
 }
 
 TEST(CompactedLevelCache, MacsShrinkPhysically) {
   nn::Network net = tiny_conv_net(20);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
+  CompactedLadderProvider ladder(net, structured_lib(net), tiny_input_shape());
   std::int64_t prev = -1;
-  for (int k = 0; k < cache.level_count(); ++k) {
-    cache.set_level(k);
-    const std::int64_t macs = cache.active_macs(tiny_input_shape());
+  for (int k = 0; k < ladder.level_count(); ++k) {
+    ladder.set_level(k);
+    const std::int64_t macs = ladder.active_macs(tiny_input_shape());
+    EXPECT_EQ(macs, ladder.network_at(k).macs(tiny_input_shape())) << k;
     if (k > 0) {
       EXPECT_LT(macs, prev);
     }
@@ -253,19 +255,25 @@ TEST(CompactedLevelCache, MacsShrinkPhysically) {
 
 TEST(CompactedLevelCache, RequiresStructuredLibrary) {
   nn::Network net = tiny_conv_net(21);
-  const auto lib = prune::PruneLevelLibrary::build_unstructured(net, kRatios);
-  EXPECT_THROW(CompactedLevelCache(net, lib, tiny_input_shape()),
-               PreconditionError);
+  auto lib = prune::PruneLevelLibrary::build_unstructured(net, kRatios);
+  EXPECT_THROW(
+      CompactedLadderProvider(net, std::move(lib), tiny_input_shape()),
+      PreconditionError);
 }
 
 TEST(CompactedLevelCache, ResidentBytesSumAllLevels) {
   nn::Network net = tiny_conv_net(22);
-  const auto lib = structured_lib(net);
-  CompactedLevelCache cache(net, lib, tiny_input_shape());
-  // All levels resident: more than one copy, less than level_count copies.
   const std::int64_t one = net.param_count() * 4;
-  EXPECT_GT(cache.resident_weight_bytes(), one);
-  EXPECT_LT(cache.resident_weight_bytes(), one * cache.level_count());
+  CompactedLadderProvider ladder(net, structured_lib(net), tiny_input_shape());
+  // All levels resident: more than one copy, less than level_count copies.
+  std::int64_t cache_bytes = 0;
+  for (int k = 0; k < ladder.level_count(); ++k)
+    cache_bytes += ladder.network_at(k).param_count() * 4;
+  EXPECT_GT(cache_bytes, one);
+  EXPECT_LT(cache_bytes, one * ladder.level_count());
+  // The provider also pays for its masked golden arm on top.
+  EXPECT_EQ(ladder.resident_weight_bytes(),
+            cache_bytes + ladder.masked().resident_weight_bytes());
 }
 
 TEST(ReversiblePruner, ResidualNetworkFullWalk) {

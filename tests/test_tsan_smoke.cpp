@@ -1,7 +1,7 @@
 // TSan/ASan smoke suite (ctest -L tsan) — a fast pass over every code path
 // that fans work out on the thread pool: raw pool mechanics, the parallel
-// GEMM kernels, clone-based batched evaluation, and multi-model zoo
-// provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
+// GEMM kernels, clone-based batched evaluation, concurrent ladder views,
+// and multi-model zoo provisioning.  Build with -DRRP_SANITIZE=thread (or address) and run
 // `ctest -L tsan`; any data race in the execution layer surfaces here.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/reversible_pruner.h"
 #include "models/trained_cache.h"
 #include "nn/gemm.h"
 #include "test_support.h"
@@ -54,6 +55,31 @@ TEST(TsanSmoke, ParallelEvaluation) {
   for (int round = 0; round < 5; ++round)
     nn::evaluate_accuracy(net, data, /*batch_size=*/8);
   SUCCEED();
+}
+
+TEST(TsanSmoke, ConcurrentLadderViews) {
+  ThreadCountGuard guard(4);
+  // Serving streams infer through views of one shared ladder at once; the
+  // plans are shared and the scratch arena is per thread.
+  nn::Network net = rrp::testing::tiny_bn_net(5);
+  core::CompactedLadderProvider shared(
+      net,
+      prune::PruneLevelLibrary::build_structured(
+          net, {0.0, 0.4, 0.7}, rrp::testing::tiny_input_shape()),
+      rrp::testing::tiny_input_shape());
+  const nn::Tensor x =
+      rrp::testing::random_tensor(rrp::testing::tiny_input_shape(), 6);
+  std::vector<nn::Tensor> out(16);
+  for (int round = 0; round < 5; ++round) {
+    parallel_for(0, 16, 1, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        core::CompactedLadderView view(shared, static_cast<int>(i % 3));
+        view.infer_into(x, out[static_cast<std::size_t>(i)]);
+      }
+    });
+  }
+  for (std::size_t i = 3; i < out.size(); ++i)
+    EXPECT_TRUE(out[i].equals(out[i % 3])) << i;
 }
 
 TEST(TsanSmoke, ParallelProvisioning) {
