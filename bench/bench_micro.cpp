@@ -1,5 +1,6 @@
-// Micro-benchmarks (google-benchmark): GEMM kernel, per-level inference of
-// the masked and compacted providers, and the raw level-switch primitives.
+// Micro-benchmarks (google-benchmark): GEMM and direct-conv kernels,
+// per-level inference of the masked and compacted providers, and the raw
+// level-switch primitives.
 // These are the numbers the platform model is sanity-checked against.
 //
 // `bench_micro --gate` skips the google-benchmark suite and emits
@@ -27,6 +28,7 @@
 #include "core/reversible_pruner.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "nn/op_kernels.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -61,6 +63,47 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// One stride-1 conv sample two ways: im2col + nn::gemm (arg1 = 0) against
+// the zero-padded input + nn::conv_direct (arg1 = 1), at the detnet conv2
+// (arg0 = 0) and lenet conv1 (arg0 = 1) shapes, on one thread like a
+// serving stream.  Wall-clock only.
+void BM_ConvDirect(benchmark::State& state) {
+  ThreadCountGuard guard(1);
+  const bool lenet = state.range(0) == 1, direct = state.range(1) == 1;
+  const nn::ops::ConvGeometry g =
+      lenet ? nn::ops::ConvGeometry{1, 8, 3, 1, 1, 16, 16, 16, 16}
+            : nn::ops::ConvGeometry{16, 32, 3, 1, 1, 16, 16, 16, 16};
+  if (direct && !g.direct()) {
+    state.SkipWithError("RRP_SIMD=OFF: no direct conv kernel in this build");
+    return;
+  }
+  Rng rng(2);
+  std::vector<float> w(static_cast<std::size_t>(g.out_ch * g.col_rows()));
+  std::vector<float> x(static_cast<std::size_t>(g.in_ch * g.h * g.w));
+  for (auto& v : w) v = static_cast<float>(rng.uniform(-1, 1));
+  for (auto& v : x) v = static_cast<float>(rng.uniform(0, 1));
+  std::vector<float> scratch(
+      static_cast<std::size_t>(direct ? g.padded_floats() : g.col_floats()));
+  std::vector<float> out(static_cast<std::size_t>(g.out_ch * g.col_cols()));
+  for (auto _ : state) {
+    if (direct) {
+      nn::ops::pad_input(g, x.data(), scratch.data());
+      nn::conv_direct(g, w.data(), scratch.data(), out.data());
+    } else {
+      nn::ops::im2col(g, x.data(), scratch.data());
+      nn::gemm(g.out_ch, g.col_cols(), g.col_rows(), 1.0f, w.data(),
+               g.col_rows(), scratch.data(), g.col_cols(), 0.0f, out.data(),
+               g.col_cols());
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.out_ch * g.col_rows() *
+                          g.col_cols());
+  state.SetLabel(std::string(lenet ? "lenet.conv1 " : "detnet.conv2 ") +
+                 (direct ? "direct" : "im2col"));
+}
+BENCHMARK(BM_ConvDirect)->ArgsProduct({{0, 1}, {0, 1}});
 
 // --- threaded variants -----------------------------------------------------
 // Same kernels under an explicit pool size (second arg).  Results are

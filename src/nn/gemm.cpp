@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "nn/gemm_kernels.h"
+#include "nn/op_kernels.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -11,7 +12,7 @@ namespace rrp::nn {
 
 namespace {
 
-// Shared entry bookkeeping for the three variants: one span carrying the
+// Shared entry bookkeeping for every entry point: one span carrying the
 // FMA count, plus the process-wide op counters.  Counter totals are
 // commutative adds, so they stay byte-exact when GEMMs run inside pool
 // chunks; the span is suppressed there (util/trace.h).
@@ -76,6 +77,20 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                  // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated gemm_rows_* variants in nn/gemm_kernels*.cpp, each certified.
                  rows(i_begin, i_end, n, k, alpha, a, lda, b, ldb, beta, c,
                       ldc);
+               });
+}
+
+// rrp-frame-path: implicit-GEMM stride-1 conv — same span, counters and
+// row fan-out as `gemm` over W * im2col(x).
+void conv_direct(const ops::ConvGeometry& g, const float* weight,
+                 const float* padded, float* out) {
+  const std::int64_t m = g.out_ch, n = g.col_cols(), k = g.col_rows();
+  GemmScope scope("gemm", m, n, k);
+  const kernels::ConvRowsFn rows = kernels::active_conv_rows();
+  parallel_for(0, m, row_grain(n, k),
+               [&](std::int64_t i_begin, std::int64_t i_end) {
+                 // rrp-lint-allow(frame-path-unresolved): 'rows' resolves at provision time to one of the annotated conv_rows_* variants in nn/gemm_kernels*.cpp, each certified.
+                 rows(i_begin, i_end, g, weight, padded, out);
                });
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "nn/op_kernels.h"
+
 namespace rrp::nn::kernels {
 
 namespace {
@@ -187,6 +189,41 @@ void gemm_at_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
   }
 }
 
+// rrp-frame-path: direct stride-1 conv micro-kernel, portable.  One
+// output channel x kRegN pixels of one output row accumulate in a local
+// array across all in_ch*k*k terms; each term's pixels are a contiguous
+// run of the padded input row (oi+ki), shifted by kj.
+void conv_rows_blocked(std::int64_t i_begin, std::int64_t i_end,
+                       const ops::ConvGeometry& g, const float* w,
+                       const float* padded, float* out) {
+  const std::int64_t pw = g.w + 2 * g.padding;
+  const std::int64_t plane = (g.h + 2 * g.padding) * pw;
+  const std::int64_t k = g.col_rows(), n = g.col_cols();
+  for (std::int64_t i = i_begin; i < i_end; ++i) {
+    const float* wrow = w + i * k;
+    for (int oi = 0; oi < g.oh; ++oi) {
+      for (int oj = 0; oj < g.ow; oj += kRegN) {
+        const std::int64_t jn = std::min<std::int64_t>(kRegN, g.ow - oj);
+        float acc[kRegN] = {};
+        const float* base = padded + oi * pw + oj;
+        std::int64_t kk = 0;
+        for (int c = 0; c < g.in_ch; ++c) {
+          for (int ki = 0; ki < g.kernel; ++ki) {
+            const float* row = base + c * plane + ki * pw;
+            for (int kj = 0; kj < g.kernel; ++kj, ++kk) {
+              const float av = wrow[kk];
+              if (av == 0.0f) continue;  // pruned weights short-circuit
+              for (std::int64_t jj = 0; jj < jn; ++jj)
+                acc[jj] += av * row[kj + jj];
+            }
+          }
+        }
+        std::copy(acc, acc + jn, out + i * n + oi * g.ow + oj);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // dispatch
 // ---------------------------------------------------------------------------
@@ -224,6 +261,20 @@ GemmRowsFn active_gemm_at_rows() {
   return fn;
 #else
   return &gemm_at_rows_reference;
+#endif
+}
+
+ConvRowsFn active_conv_rows() {
+#if defined(RRP_SIMD)
+#if defined(RRP_HAVE_AVX2)
+  static const ConvRowsFn fn =
+      avx2_usable() ? &conv_rows_avx2 : &conv_rows_blocked;
+#else
+  static const ConvRowsFn fn = &conv_rows_blocked;
+#endif
+  return fn;
+#else
+  return nullptr;
 #endif
 }
 

@@ -51,7 +51,8 @@ class Linear : public Layer {
   Tensor cached_input_;
 };
 
-/// 2-D convolution (NCHW), implemented as im2col + GEMM.
+/// 2-D convolution (NCHW): an implicit GEMM over the zero-padded input at
+/// stride 1, im2col + GEMM otherwise and in backward (nn/op_kernels.h).
 class Conv2D : public Layer {
  public:
   Conv2D(std::string name, int in_ch, int out_ch, int kernel, int stride = 1,

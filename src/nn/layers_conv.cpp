@@ -62,7 +62,8 @@ void Conv2D::col2im(const float* col, int h, int w, float* dst) const {
   }
 }
 
-// rrp-frame-path: im2col-GEMM conv — the dominant per-frame inference cost.
+// rrp-frame-path: the conv forward (ops::conv2d) — the dominant per-frame
+// inference cost.
 Tensor Conv2D::forward(const Tensor& x, bool training) {
   RRP_CHECK_MSG(x.dim() == 4 && x.size(1) == in_ch_,
                 "Conv2D '" << name() << "' expects [N, " << in_ch_
@@ -75,16 +76,16 @@ Tensor Conv2D::forward(const Tensor& x, bool training) {
   calls.add(1);
   RRP_SPAN_VAR(span, "conv.forward");
   span.add_items(static_cast<std::int64_t>(n) * out_ch_ * col_rows *
-                 col_cols);  // im2col-GEMM FMAs
+                 col_cols);  // conv FMAs
   // Samples write disjoint output planes: fan the batch out over the pool
-  // (each chunk owns a scratch col buffer; nested GEMMs stay serial).
+  // (each chunk owns a scratch buffer; nested GEMMs stay serial).
   // The eval frame path runs the allocation-free nn::InferencePlan
   // instead; this scratch serves training and the masked arm.
   parallel_for(0, n, 1, [&](std::int64_t s_begin, std::int64_t s_end) {
-    std::vector<float> col(static_cast<std::size_t>(g.col_floats()));
+    std::vector<float> scratch(static_cast<std::size_t>(g.scratch_floats()));
     for (std::int64_t s = s_begin; s < s_end; ++s)
       ops::conv2d(g, weight_.raw(), with_bias_ ? bias_.raw() : nullptr,
-                  x.raw() + s * in_ch_ * h * w, col.data(),
+                  x.raw() + s * in_ch_ * h * w, scratch.data(),
                   y.raw() + s * out_ch_ * col_cols);
   });
   if (training) cached_input_ = x;

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "nn/gemm.h"
+#include "nn/gemm_kernels.h"
 
 namespace rrp::nn::ops {
 namespace {
@@ -39,13 +40,45 @@ void im2col(const ConvGeometry& g, const float* src, float* col) {
   }
 }
 
+bool ConvGeometry::direct() const {
+  return stride == 1 && kernels::active_conv_rows() != nullptr;
+}
+
+void pad_input(const ConvGeometry& g, const float* src, float* padded) {
+  const int p = g.padding, pw = g.w + 2 * p;
+  const std::size_t row_bytes = sizeof(float) * static_cast<std::size_t>(g.w);
+  const std::size_t edge_bytes =
+      sizeof(float) * static_cast<std::size_t>(p) * pw;
+  for (int c = 0; c < g.in_ch; ++c) {
+    // Only the border is zeroed: the interior is overwritten row by row.
+    std::memset(padded, 0, edge_bytes);
+    padded += static_cast<std::int64_t>(p) * pw;
+    for (int r = 0; r < g.h; ++r, padded += pw, src += g.w) {
+      std::fill(padded, padded + p, 0.0f);
+      std::memcpy(padded + p, src, row_bytes);
+      std::fill(padded + p + g.w, padded + pw, 0.0f);
+    }
+    std::memset(padded, 0, edge_bytes);
+    padded += static_cast<std::int64_t>(p) * pw;
+  }
+}
+
 void conv2d(const ConvGeometry& g, const float* weight, const float* bias,
-            const float* src, float* col, float* out) {
+            const float* src, float* scratch, float* out) {
   const std::int64_t col_rows = g.col_rows(), col_cols = g.col_cols();
-  im2col(g, src, col);
-  // out[out_ch, oh*ow] = W[out_ch, col_rows] * col[col_rows, oh*ow]
-  gemm(g.out_ch, col_cols, col_rows, 1.0f, weight, col_rows, col, col_cols,
-       0.0f, out, col_cols);
+  if (g.direct()) {
+    const float* padded = src;
+    if (g.padding > 0) {
+      pad_input(g, src, scratch);
+      padded = scratch;
+    }
+    conv_direct(g, weight, padded, out);
+  } else {
+    im2col(g, src, scratch);
+    // out[out_ch, oh*ow] = W[out_ch, col_rows] * col[col_rows, oh*ow]
+    gemm(g.out_ch, col_cols, col_rows, 1.0f, weight, col_rows, scratch,
+         col_cols, 0.0f, out, col_cols);
+  }
   if (bias != nullptr) {
     for (int c = 0; c < g.out_ch; ++c) {
       float* plane = out + static_cast<std::int64_t>(c) * col_cols;

@@ -28,18 +28,38 @@ struct ConvGeometry {
     return static_cast<std::int64_t>(in_ch) * kernel * kernel;
   }
   std::int64_t col_cols() const { return static_cast<std::int64_t>(oh) * ow; }
-  /// im2col scratch conv2d() needs.
+  /// im2col matrix [col_rows, col_cols].
   std::int64_t col_floats() const { return col_rows() * col_cols(); }
+  /// Zero-padded input [in_ch, h+2p, w+2p].
+  std::int64_t padded_floats() const {
+    return static_cast<std::int64_t>(in_ch) * (h + 2 * padding) *
+           (w + 2 * padding);
+  }
+  /// True when conv2d() runs this conv as an implicit GEMM over the padded
+  /// input (stride 1 with a direct kernel in the build), false when it
+  /// unrolls im2col.
+  bool direct() const;
+  /// Scratch conv2d() needs: the padded input for a direct conv (none when
+  /// padding is 0: the input is read in place), col_floats() otherwise.
+  std::int64_t scratch_floats() const {
+    if (!direct()) return col_floats();
+    return padding > 0 ? padded_floats() : 0;
+  }
 };
 
 /// Unrolls one sample [in_ch, h, w] into col [in_ch*k*k, oh*ow].
 void im2col(const ConvGeometry& g, const float* src, float* col);
 
-/// One Conv2D sample: im2col into `col` (col_floats() floats), then
-/// out[out_ch, oh*ow] = W[out_ch, col_rows] * col through nn::gemm, then
-/// the bias (nullable).
+/// Copies one sample [in_ch, h, w] into the zero-padded
+/// [in_ch, h+2p, w+2p] buffer `padded`.
+void pad_input(const ConvGeometry& g, const float* src, float* padded);
+
+/// One Conv2D sample: out[out_ch, oh*ow] = W[out_ch, col_rows] *
+/// im2col(src), then the bias (nullable).  A direct() conv pads `src`
+/// into `scratch` and runs nn::conv_direct; any other unrolls im2col
+/// into `scratch` and runs nn::gemm.  `scratch` holds scratch_floats().
 void conv2d(const ConvGeometry& g, const float* weight, const float* bias,
-            const float* src, float* col, float* out);
+            const float* src, float* scratch, float* out);
 
 /// One depthwise output plane: channel `c`'s [h, w] plane convolved with
 /// its k×k filter, accumulated in double from the bias.

@@ -50,11 +50,11 @@ InferencePlan::InferencePlan(const Network& net, const Shape& input_shape)
   out_shape_ = out.shape;
   out_numel_ = shape_numel(out_shape_);
   out_buf_ = out.buf;
-  // The im2col scratch sits after the activations; every conv shares it.
-  const std::int64_t col_offset = align_up(act_floats_);
+  // The conv scratch sits after the activations; every conv shares it.
+  const std::int64_t scratch_offset = align_up(act_floats_);
   for (Op& op : ops_)
-    if (op.kind == OpKind::Conv) op.aux = col_offset;
-  arena_floats_ = col_offset + col_floats_;
+    if (op.kind == OpKind::Conv) op.aux = scratch_offset;
+  arena_floats_ = scratch_offset + scratch_floats_;
   thread_arena(arena_floats_);  // pre-size the building thread's arena
 }
 
@@ -92,7 +92,7 @@ InferencePlan::Value InferencePlan::lower_layer(
       op.weight = conv.weight().raw();
       op.bias = conv.with_bias() ? conv.bias().raw() : nullptr;
       op.dst = alloc(op.numel);
-      col_floats_ = std::max(col_floats_, op.g.col_floats());
+      scratch_floats_ = std::max(scratch_floats_, op.g.scratch_floats());
       break;
     }
     case LayerKind::DepthwiseConv2D: {

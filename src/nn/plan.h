@@ -5,12 +5,13 @@
 // frame has the same input shape, so everything Network::forward decides
 // per call — output shapes, scratch sizes, BatchNorm affines, the MAC
 // count — is decided once here.  Running the plan is a walk over a flat
-// op array whose activations and im2col scratch are fixed offsets into
-// one per-thread arena: no Tensor per layer, no zero-fill, no im2col
+// op array whose activations and conv scratch are fixed offsets into
+// one per-thread arena: no Tensor per layer, no zero-fill, no scratch
 // vector per conv, no Shape arithmetic.
 //
 // Lowering (one op per leaf layer):
-//   Conv2D          -> ops::conv2d (im2col + nn::gemm + bias)
+//   Conv2D          -> ops::conv2d (stride 1: zero-pad + nn::conv_direct;
+//                      strided: im2col + nn::gemm; then the bias)
 //   DepthwiseConv2D -> ops::depthwise_plane per channel
 //   Linear          -> ops::linear (nn::gemm_bt + bias)
 //   BatchNorm       -> per-channel scale/shift epilogue, in place; the
@@ -83,7 +84,7 @@ class InferencePlan {
     OpKind kind = OpKind::Relu;
     std::int64_t src = kInput;
     std::int64_t dst = 0;
-    /// Conv: im2col scratch offset.  Affine: first entry in affines_.
+    /// Conv: scratch offset (padded input or im2col).  Affine: first entry in affines_.
     /// Add: the skip buffer.
     std::int64_t aux = 0;
     std::int64_t numel = 0;  ///< elements of dst
@@ -114,7 +115,7 @@ class InferencePlan {
   std::int64_t in_numel_ = 0, out_numel_ = 0;
   std::int64_t out_buf_ = kInput;
   std::int64_t act_floats_ = 0;  ///< bump cursor over activations
-  std::int64_t col_floats_ = 0;  ///< largest im2col scratch
+  std::int64_t scratch_floats_ = 0;  ///< largest conv scratch
   std::int64_t arena_floats_ = 0;
   std::int64_t macs_ = 0;
 };

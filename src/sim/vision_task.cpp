@@ -32,44 +32,46 @@ float apparent_contrast(double distance_m, double visibility) {
   return static_cast<float>(std::clamp(c, 0.2, 1.2));
 }
 
-void put(nn::Tensor& img, int r, int c, float v, int h, int w) {
+/// Adds v at (r, c) of the h×w image `px`; off-image pixels are clipped.
+void put(float* px, int r, int c, float v, int h, int w) {
   if (r < 0 || r >= h || c < 0 || c >= w) return;
-  img[static_cast<std::int64_t>(r) * w + c] += v;
+  px[static_cast<std::int64_t>(r) * w + c] += v;
 }
 
-/// Draws a class-specific stencil centered at (cr, cc) with half-size hs.
-void draw_stencil(nn::Tensor& img, ActorType type, int cr, int cc, int hs,
+/// Draws a class-specific stencil centered at (cr, cc) with half-size hs
+/// into the h×w image `px`.
+void draw_stencil(float* px, ActorType type, int cr, int cc, int hs,
                   float contrast, int h, int w) {
   switch (type) {
     case ActorType::Vehicle:
       // Wide filled box (car silhouette).
       for (int r = -hs / 2 - 1; r <= hs / 2 + 1; ++r)
         for (int c = -hs; c <= hs; ++c)
-          put(img, cr + r, cc + c, contrast, h, w);
+          put(px, cr + r, cc + c, contrast, h, w);
       break;
     case ActorType::Pedestrian:
       // Tall thin bar with a head dot.
       for (int r = -hs; r <= hs; ++r)
-        put(img, cr + r, cc, contrast, h, w);
-      put(img, cr - hs - 1, cc, contrast, h, w);
-      put(img, cr - hs, cc - 1, contrast * 0.6f, h, w);
-      put(img, cr - hs, cc + 1, contrast * 0.6f, h, w);
+        put(px, cr + r, cc, contrast, h, w);
+      put(px, cr - hs - 1, cc, contrast, h, w);
+      put(px, cr - hs, cc - 1, contrast * 0.6f, h, w);
+      put(px, cr - hs, cc + 1, contrast * 0.6f, h, w);
       break;
     case ActorType::Cyclist:
       // Two wheels (diagonal dots) joined by a frame line.
       for (int d = -hs; d <= hs; ++d)
-        put(img, cr, cc + d, contrast * 0.7f, h, w);
+        put(px, cr, cc + d, contrast * 0.7f, h, w);
       for (int r = -1; r <= 1; ++r)
         for (int c = -1; c <= 1; ++c) {
-          put(img, cr + r, cc - hs + c, contrast, h, w);
-          put(img, cr + r, cc + hs + c, contrast, h, w);
+          put(px, cr + r, cc - hs + c, contrast, h, w);
+          put(px, cr + r, cc + hs + c, contrast, h, w);
         }
       break;
     case ActorType::Obstacle:
       // X-shaped hazard marker.
       for (int d = -hs; d <= hs; ++d) {
-        put(img, cr + d, cc + d, contrast, h, w);
-        put(img, cr + d, cc - d, contrast, h, w);
+        put(px, cr + d, cc + d, contrast, h, w);
+        put(px, cr + d, cc - d, contrast, h, w);
       }
       break;
   }
@@ -89,13 +91,16 @@ void render_scene_into(const Scene& scene, const VisionTaskConfig& config,
   const int h = config.height, w = config.width;
   RRP_CHECK(h >= 8 && w >= 8);
   RRP_CHECK(img.numel() == static_cast<std::int64_t>(h) * w);
+  // Every write below stays inside the h×w frame checked above (put clips),
+  // so pixels go through the raw pointer, not the range-checked operator[].
+  float* px = img.raw();
 
   // Road background: brighter toward the bottom of the frame.
   for (int r = 0; r < h; ++r) {
     const float road = static_cast<float>(
         config.road_intensity * (0.5 + 0.5 * static_cast<double>(r) / h));
-    for (int c = 0; c < w; ++c)
-      img[static_cast<std::int64_t>(r) * w + c] = road;
+    std::fill(px + static_cast<std::int64_t>(r) * w,
+              px + static_cast<std::int64_t>(r + 1) * w, road);
   }
 
   // Draw every actor the sensor can resolve; nearest dominates visually
@@ -127,7 +132,7 @@ void render_scene_into(const Scene& scene, const VisionTaskConfig& config,
     const int cc = std::clamp(
         static_cast<int>(std::lround(w * (0.5 + a->lateral_m * 0.15))),
         hs, w - hs - 1);
-    draw_stencil(img, a->type, cr, cc, hs, contrast, h, w);
+    draw_stencil(px, a->type, cr, cc, hs, contrast, h, w);
   }
 
   // Sensor noise, worse in poor visibility.

@@ -20,10 +20,12 @@
 //       entry points are bit-exact across thread counts (1/2/8);
 //   F5  plan ≡ forward, bitwise — every level's compiled InferencePlan
 //       reproduces network_at(k).forward byte for byte across the sweep
-//       and for every zoo model, and concurrent views at one level give
-//       the same bytes at RRP_THREADS=8 as at 1.
+//       for every zoo model and for a strided / 1x1 / 5x5 conv mix, and
+//       concurrent views at one level give the same bytes at RRP_THREADS=8
+//       as at 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +34,8 @@
 #include "models/zoo.h"
 #include "nn/gemm.h"
 #include "nn/gemm_kernels.h"
+#include "nn/init.h"
+#include "nn/plan.h"
 #include "prune/levels.h"
 #include "test_support.h"
 #include "util/metrics.h"
@@ -326,6 +330,26 @@ TEST(FastPath, EveryZooModelCompilesToAPlan) {
   }
 }
 
+TEST(FastPath, PlanMatchesForwardOnStridedAndPointwiseConvs) {
+  // A stride-2 conv keeps im2col + GEMM; a 1x1 stride-1 conv reads its
+  // input in place (no padding).  Both must match forward byte for byte.
+  nn::Network net("convmix");
+  net.emplace<nn::Conv2D>("down", 1, 6, 3, 2, 1);
+  net.emplace<nn::ReLU>("relu1");
+  net.emplace<nn::Conv2D>("pointwise", 6, 5, 1, 1, 0);
+  net.emplace<nn::ReLU>("relu2");
+  net.emplace<nn::Conv2D>("wide", 5, 4, 5, 1, 2);
+  net.emplace<nn::Flatten>("flatten");
+  net.emplace<nn::Linear>("head", 4 * 4 * 4, 3);
+  Rng rng(94);
+  nn::init_network(net, rng);
+  const nn::InferencePlan plan(net, tiny_input_shape());
+  const nn::Tensor x = random_tensor({3, 1, 8, 8}, 95);
+  nn::Tensor y;
+  plan.execute(x, y);
+  EXPECT_TRUE(y.equals(net.forward(x, false)));
+}
+
 TEST(FastPath, ConcurrentViewsAreThreadCountInvariant) {
   Rng rng(92);
   nn::Network net = models::build_model(models::ModelKind::DetNet, rng);
@@ -430,6 +454,28 @@ TEST(FastPath, KernelVariantsAreBitIdentical) {
       }
 #endif
     }
+  }
+}
+
+TEST(FastPath, KernelsNeverFuseMultiplyAdd) {
+  // c = a0*b0 + a1*b1 with a0*b0 = -(1 + 2^-11) and a1*b1 = 1 + 2^-11 +
+  // 2^-24, whose rounding (a tie) drops the 2^-24: two rounded steps give
+  // exactly 0, a fused multiply-add gives 2^-24.  Catches a build whose
+  // ISA flags let the compiler contract the kernels (-march=native).
+  const float a1 = 1.0f + 0x1p-12f;
+  const std::vector<float> a = {-(1.0f + 0x1p-11f), a1};
+  std::vector<float> b(2 * kN);
+  std::fill(b.begin(), b.begin() + kN, 1.0f);
+  std::fill(b.begin() + kN, b.end(), a1);
+  std::vector<nn::kernels::GemmRowsFn> fns = {
+      nn::kernels::gemm_rows_reference, nn::kernels::gemm_rows_blocked};
+#if defined(RRP_HAVE_AVX2)
+  if (nn::kernels::avx2_usable()) fns.push_back(nn::kernels::gemm_rows_avx2);
+#endif
+  for (const auto fn : fns) {
+    std::vector<float> c(kN, 5.0f);
+    fn(0, 1, kN, 2, 1.0f, a.data(), 2, b.data(), kN, 0.0f, c.data(), kN);
+    expect_bits_equal(std::vector<float>(kN, 0.0f), c, "no FMA");
   }
 }
 

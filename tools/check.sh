@@ -28,10 +28,14 @@
 #       micro-kernel variants are bit-identical by contract (DESIGN.md
 #       invariant 13), so the scalar-dispatch build must pass the exact
 #       same suite (golden traces included) and the frame-path pass must
-#       hold with the AVX2 TU out of the build.
+#       hold with the AVX2 TU out of the build;
+#   (i) a -march=native build of the GEMM, fast-path and direct-conv
+#       kernel tests — the no-FMA contract must hold when the host ISA
+#       has FMA, not only on baseline x86-64 (-ffp-contract=off is a
+#       project-wide compile option, not a property of the ISA).
 # Build trees are kept per-configuration (build-check, build-check-tsan,
-# build-check-ubsan, build-check-cov, build-check-nosimd) so re-runs are
-# incremental.
+# build-check-ubsan, build-check-cov, build-check-nosimd,
+# build-check-native) so re-runs are incremental.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -144,6 +148,13 @@ cmake --build build-check-nosimd -j "$JOBS" --target rrp_tests rrp_perf_smoke \
 # The frame-path pass must hold in both dispatch configurations: the AVX2
 # TU's roots are annotated and the scalar tree must be just as clean.
 ./build-check-nosimd/tools/rrp_lint --root .
+
+step "(i) -march=native build (no-FMA contract under the host ISA)"
+cmake -B build-check-native -S . -DCMAKE_CXX_FLAGS=-march=native \
+  -DRRP_WERROR=ON
+cmake --build build-check-native -j "$JOBS" --target rrp_tests
+./build-check-native/tests/rrp_tests \
+  --gtest_filter='Gemm*:*GemmShapes*:FastPath*:ConvKernels*'
 
 echo
 echo "check.sh: all gates passed"
