@@ -2,6 +2,8 @@
 // per-level inference of the masked and compacted providers, and the raw
 // level-switch primitives.
 // These are the numbers the platform model is sanity-checked against.
+// With no mode flag only this google-benchmark suite runs (honouring
+// --benchmark_filter); `--gate` and `--wall` are the two report modes.
 //
 // `bench_micro --gate` skips the google-benchmark suite and emits
 // BENCH_micro.json whose gated `metrics` are *modeled* (platform-model
@@ -258,18 +260,18 @@ constexpr double kWallFitTolerance = 0.5;
 
 // Median-of-repeats per-inference wall time: `warmup` untimed calls, then
 // `repeats` timed blocks of `iters` inferences each (iters sized so one
-// block lasts ~block_ms; stable against timer granularity).
+// block lasts ~block_ms; stable against timer granularity).  Times
+// infer_into a reused output, the call the frame engine makes.
 double measure_infer_us(core::InferenceProvider& provider, const nn::Tensor& x,
                         const WallRecipe& recipe) {
-  for (int i = 0; i < recipe.warmup; ++i) {
-    auto y = provider.infer(x);
+  nn::Tensor y;
+  const auto infer = [&] {
+    provider.infer_into(x, y);
     benchmark::DoNotOptimize(y.raw());
-  }
+  };
+  for (int i = 0; i < recipe.warmup; ++i) infer();
   Timer probe;
-  {
-    auto y = provider.infer(x);
-    benchmark::DoNotOptimize(y.raw());
-  }
+  infer();
   const double probe_us = std::max(1.0, probe.elapsed_us());
   const int iters = static_cast<int>(
       std::clamp(recipe.block_ms * 1000.0 / probe_us, 1.0, 200.0));
@@ -277,10 +279,7 @@ double measure_infer_us(core::InferenceProvider& provider, const nn::Tensor& x,
   samples.reserve(static_cast<std::size_t>(recipe.repeats));
   for (int r = 0; r < recipe.repeats; ++r) {
     Timer t;
-    for (int i = 0; i < iters; ++i) {
-      auto y = provider.infer(x);
-      benchmark::DoNotOptimize(y.raw());
-    }
+    for (int i = 0; i < iters; ++i) infer();
     samples.push_back(t.elapsed_us() / iters);
   }
   return quantile(samples, 0.5);
@@ -445,5 +444,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return emit_report("full", kFullWall, /*print_table=*/true);
+  return 0;
 }

@@ -82,6 +82,25 @@ struct Cursor {
   }
 };
 
+// The record's four outcome bools travel as one flags word.
+constexpr std::uint32_t kCorrect = 1u << 0;
+constexpr std::uint32_t kVeto = 1u << 1;
+constexpr std::uint32_t kViolation = 1u << 2;
+constexpr std::uint32_t kTrueViolation = 1u << 3;
+
+std::uint32_t pack_flags(const FrameRecord& r) {
+  return (r.correct ? kCorrect : 0u) | (r.veto ? kVeto : 0u) |
+         (r.violation ? kViolation : 0u) |
+         (r.true_violation ? kTrueViolation : 0u);
+}
+
+CriticalityClass criticality_from(std::int32_t v) {
+  if (v < 0 || v >= kCriticalityClasses)
+    throw SerializationError("incident bundle criticality " +
+                             std::to_string(v) + " out of range");
+  return static_cast<CriticalityClass>(v);
+}
+
 std::string hex64(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << std::setw(16) << std::setfill('0') << v;
@@ -89,42 +108,6 @@ std::string hex64(std::uint64_t v) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// FlightRecorder
-// ---------------------------------------------------------------------------
-
-FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
-  RRP_CHECK_MSG(capacity_ > 0, "flight recorder needs capacity >= 1");
-  ring_.reserve(capacity_);
-}
-
-// rrp-frame-path: the black-box append runs once per frame; it must
-// never become the reason a deadline slips.
-void FlightRecorder::record(const FlightRecord& r) {
-  if (ring_.size() < capacity_) {
-    // rrp-lint-allow(frame-path-alloc): push_back below the capacity reserved in the constructor never reallocates; once full, the ring branch below overwrites in place.
-    ring_.push_back(r);
-  } else {
-    ring_[next_] = r;
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
-std::vector<FlightRecord> FlightRecorder::window() const {
-  std::vector<FlightRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i)
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  return out;
-}
-
-void FlightRecorder::clear() {
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-}
 
 // ---------------------------------------------------------------------------
 // Bundle serialization
@@ -188,17 +171,17 @@ void write_incident_bundle(const IncidentBundle& bundle, std::ostream& out) {
   put_i64(b, bundle.dropped_incidents);
 
   put_u32(b, static_cast<std::uint32_t>(bundle.records.size()));
-  for (const FlightRecord& r : bundle.records) {
+  for (const FrameRecord& r : bundle.records) {
     put_i64(b, r.frame);
-    put_i32(b, r.criticality);
-    put_i32(b, r.true_criticality);
+    put_i32(b, static_cast<std::int32_t>(r.sensed_criticality));
+    put_i32(b, static_cast<std::int32_t>(r.criticality));
     put_i32(b, r.requested_level);
     put_i32(b, r.executed_level);
     put_f64(b, r.latency_ms);
     put_f64(b, r.switch_us);
     put_f64(b, r.deadline_ms);
     put_f64(b, r.energy_mj);
-    put_u32(b, r.flags);
+    put_u32(b, pack_flags(r));
     put_i32(b, r.integrity_detects);
     put_i32(b, r.integrity_repairs);
     put_i32(b, r.watchdog_degrades);
@@ -293,17 +276,23 @@ IncidentBundle read_incident_bundle(std::istream& in) {
 
   const std::uint32_t n_rec = c.u32();
   bundle.records.resize(n_rec);
-  for (FlightRecord& r : bundle.records) {
+  for (FrameRecord& r : bundle.records) {
     r.frame = c.i64();
-    r.criticality = c.i32();
-    r.true_criticality = c.i32();
+    r.sensed_criticality = criticality_from(c.i32());
+    r.criticality = criticality_from(c.i32());
     r.requested_level = c.i32();
     r.executed_level = c.i32();
     r.latency_ms = c.f64();
     r.switch_us = c.f64();
     r.deadline_ms = c.f64();
     r.energy_mj = c.f64();
-    r.flags = c.u32();
+    const std::uint32_t flags = c.u32();
+    if ((flags & ~(kCorrect | kVeto | kViolation | kTrueViolation)) != 0)
+      throw SerializationError("incident bundle record has unknown flags");
+    r.correct = (flags & kCorrect) != 0;
+    r.veto = (flags & kVeto) != 0;
+    r.violation = (flags & kViolation) != 0;
+    r.true_violation = (flags & kTrueViolation) != 0;
     r.integrity_detects = c.i32();
     r.integrity_repairs = c.i32();
     r.watchdog_degrades = c.i32();
@@ -325,17 +314,16 @@ void write_incident_csv(const IncidentBundle& bundle, std::ostream& out) {
             "slack_ms", "energy_mj", "correct", "veto", "violation",
             "true_violation", "integrity_detects", "integrity_repairs",
             "watchdog_degrades", "span_digest"});
-  for (const FlightRecord& r : bundle.records) {
-    w.row({std::to_string(r.frame), std::to_string(r.criticality),
-           std::to_string(r.true_criticality),
+  for (const FrameRecord& r : bundle.records) {
+    w.row({std::to_string(r.frame),
+           std::to_string(static_cast<int>(r.sensed_criticality)),
+           std::to_string(static_cast<int>(r.criticality)),
            std::to_string(r.requested_level),
            std::to_string(r.executed_level), CsvWriter::num(r.latency_ms, 4),
            CsvWriter::num(r.switch_us, 2), CsvWriter::num(r.deadline_ms, 2),
            CsvWriter::num(r.slack_ms(), 4), CsvWriter::num(r.energy_mj, 4),
-           std::to_string(r.correct() ? 1 : 0),
-           std::to_string(r.veto() ? 1 : 0),
-           std::to_string(r.violation() ? 1 : 0),
-           std::to_string(r.true_violation() ? 1 : 0),
+           r.correct ? "1" : "0", r.veto ? "1" : "0",
+           r.violation ? "1" : "0", r.true_violation ? "1" : "0",
            std::to_string(r.integrity_detects),
            std::to_string(r.integrity_repairs),
            std::to_string(r.watchdog_degrades), hex64(r.span_digest)});
@@ -378,8 +366,8 @@ std::string incident_summary_string(const IncidentBundle& bundle) {
        << " threshold=" << CsvWriter::num(inc.threshold, 6)
        << (inc.detail.empty() ? "" : " (" + inc.detail + ")") << "\n";
   if (!bundle.records.empty()) {
-    const FlightRecord* worst = &bundle.records.front();
-    for (const FlightRecord& r : bundle.records)
+    const FrameRecord* worst = &bundle.records.front();
+    for (const FrameRecord& r : bundle.records)
       if (r.slack_ms() < worst->slack_ms()) worst = &r;
     os << "  window frames [" << bundle.records.front().frame << ", "
        << bundle.records.back().frame << "], worst slack "

@@ -1,12 +1,12 @@
-// flight_recorder.h — the black-box flight recorder (DESIGN.md §8).
+// flight_recorder.h — the black-box incident bundle (DESIGN.md §8).
 //
 // A safe autonomous system must explain itself after the fact: when a
 // deadline is missed or an integrity fault fires, engineers need the exact
-// decision history that led there, not aggregate counters.  The
-// FlightRecorder is a fixed-capacity ring buffer of per-frame
-// FlightRecords — criticality, level decisions, deadline slack, assurance
-// deltas, span digests — that the runner feeds every frame.  When the SLO
-// monitor (core/slo.h) raises an incident, the ring's window is dumped as
+// decision history that led there, not aggregate counters.  That history
+// is the run's telemetry: every core::FrameRecord carries the criticality
+// sensed and true, the level decisions, deadline slack, the assurance
+// deltas and the span digest of its frame.  When the SLO monitor
+// (core/slo.h) raises an incident, the run's last N records are dumped as
 // a versioned, FNV-1a-checksummed "incident bundle": a binary .rrpb file
 // plus a human/diff-friendly CSV rendering.
 //
@@ -14,10 +14,9 @@
 // scenario suite + seed, noise seed, policy, deadline, scrub/watchdog
 // config, certified levels, the full fault schedule, and the SLO specs —
 // so `rrp_cli blackbox replay` turns every incident into a reproducible
-// test case (sim/incident_replay.h).  Determinism invariant: recording is
-// pure bookkeeping on the driving thread; a bundle's bytes are identical
-// for any RRP_THREADS, and replay reproduces the recorded telemetry
-// byte-for-byte.
+// test case (sim/incident_replay.h).  Determinism invariant: a bundle's
+// bytes are identical for any RRP_THREADS, and replay reproduces the
+// recorded telemetry byte-for-byte.
 //
 // Layering: this is a core-layer unit.  It deliberately does NOT include
 // sim/ headers (rrp_lint R3 forbids core -> sim); the fault schedule is
@@ -32,66 +31,10 @@
 #include <string>
 #include <vector>
 
-#include "core/safety_monitor.h"
 #include "core/slo.h"
+#include "core/telemetry.h"
 
 namespace rrp::core {
-
-/// One frame of black-box evidence.  A compact mirror of FrameRecord plus
-/// the assurance deltas and the span digest for the frame.
-struct FlightRecord {
-  std::int64_t frame = 0;
-  std::int32_t criticality = 0;       ///< sensed/published class (as int)
-  std::int32_t true_criticality = 0;  ///< plant ground truth
-  std::int32_t requested_level = 0;
-  std::int32_t executed_level = 0;
-  double latency_ms = 0.0;
-  double switch_us = 0.0;
-  double deadline_ms = 0.0;
-  double energy_mj = 0.0;
-  std::uint32_t flags = 0;  ///< bit 0 correct, 1 veto, 2 violation, 3 true_violation
-  std::int32_t integrity_detects = 0;   ///< assurance-count delta this frame
-  std::int32_t integrity_repairs = 0;
-  std::int32_t watchdog_degrades = 0;
-  /// FNV-1a over the spans closed during this frame (0 when tracing off).
-  std::uint64_t span_digest = 0;
-
-  static constexpr std::uint32_t kCorrect = 1u << 0;
-  static constexpr std::uint32_t kVeto = 1u << 1;
-  static constexpr std::uint32_t kViolation = 1u << 2;
-  static constexpr std::uint32_t kTrueViolation = 1u << 3;
-
-  bool correct() const { return (flags & kCorrect) != 0; }
-  bool veto() const { return (flags & kVeto) != 0; }
-  bool violation() const { return (flags & kViolation) != 0; }
-  bool true_violation() const { return (flags & kTrueViolation) != 0; }
-  /// Deadline slack (positive = met) in milliseconds.
-  double slack_ms() const {
-    return deadline_ms - (latency_ms + switch_us / 1000.0);
-  }
-};
-
-/// Fixed-capacity deterministic ring buffer of FlightRecords.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t capacity = 256);
-
-  void record(const FlightRecord& r);
-
-  /// The retained window, oldest to newest (at most capacity() records).
-  std::vector<FlightRecord> window() const;
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return ring_.size(); }
-  std::int64_t total_recorded() const { return total_; }
-  void clear();
-
- private:
-  std::size_t capacity_;
-  std::size_t next_ = 0;  ///< overwrite position once the ring is full
-  std::int64_t total_ = 0;
-  std::vector<FlightRecord> ring_;
-};
 
 /// Core-level mirror of one scheduled fault (sim::FaultEvent).  Plain ints
 /// so the core layer never includes sim headers; sim/incident_replay.h
@@ -126,19 +69,19 @@ struct IncidentContext {
   std::array<std::int32_t, kCriticalityClasses> certified = {4, 3, 1, 0};
   std::uint32_t recorder_capacity = 256;
   /// FNV-1a of the run's FULL telemetry CSV (not just the window): the
-  /// replay oracle for frames that scrolled out of the ring.
+  /// replay oracle for the frames before the window.
   std::uint64_t telemetry_digest = 0;
 };
 
 /// The versioned on-disk unit: context + fault schedule + SLO specs +
-/// incidents + the recorder window.
+/// incidents + the window of the run's last `recorder_capacity` records.
 struct IncidentBundle {
   IncidentContext context;
   std::vector<RecordedFault> faults;
   std::vector<SloSpec> slos;
   std::vector<Incident> incidents;
   std::int64_t dropped_incidents = 0;
-  std::vector<FlightRecord> records;
+  std::vector<FrameRecord> records;
 };
 
 inline constexpr std::uint32_t kIncidentBundleMagic = 0x42505252u;  // "RRPB"
@@ -152,7 +95,7 @@ void write_incident_bundle(const IncidentBundle& bundle, std::ostream& out);
 /// magic/version, a short read, or a checksum mismatch.
 IncidentBundle read_incident_bundle(std::istream& in);
 
-/// The CSV rendering of the recorder window — the byte-identity oracle
+/// The CSV rendering of the record window — the byte-identity oracle
 /// replay compares against.
 void write_incident_csv(const IncidentBundle& bundle, std::ostream& out);
 std::string incident_csv_string(const IncidentBundle& bundle);
@@ -164,7 +107,7 @@ std::string incident_summary_string(const IncidentBundle& bundle);
 /// FNV-1a digest over the trace spans recorded at index >= `from_index`
 /// (name, depth, frame, sequence ticks, modeled time, items).  The runner
 /// snapshots trace::spans().size() at frame start and calls this at frame
-/// end to give each FlightRecord its span digest; 0 when tracing is off.
+/// end to give each FrameRecord its span digest.
 std::uint64_t span_window_digest(std::size_t from_index);
 
 }  // namespace rrp::core

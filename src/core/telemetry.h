@@ -11,13 +11,18 @@
 
 namespace rrp::core {
 
-/// One frame of the closed loop.
+/// One frame of the closed loop.  It is also the black box's evidence
+/// for the frame: an incident bundle's window is the run's last N
+/// FrameRecords (core/flight_recorder.h).
 struct FrameRecord {
   std::int64_t frame = 0;
-  CriticalityClass criticality = CriticalityClass::Low;
+  CriticalityClass criticality = CriticalityClass::Low;  ///< plant truth
+  /// What the controller and monitor saw: delayed by sensing, and
+  /// overridden by sensor faults.
+  CriticalityClass sensed_criticality = CriticalityClass::Low;
   int requested_level = 0;
   int executed_level = 0;
-  double latency_ms = 0.0;   ///< modeled (or measured) inference latency
+  double latency_ms = 0.0;   ///< modeled inference latency
   double energy_mj = 0.0;    ///< modeled inference energy
   double switch_us = 0.0;    ///< level-transition cost paid this frame
   double deadline_ms = 0.0;
@@ -25,6 +30,18 @@ struct FrameRecord {
   bool veto = false;
   bool violation = false;       ///< above the cap for the SENSED criticality
   bool true_violation = false;  ///< above the cap for the TRUE criticality
+  /// The monitor's assurance-count deltas over this frame, its watchdog
+  /// included.
+  int integrity_detects = 0;
+  int integrity_repairs = 0;
+  int watchdog_degrades = 0;
+  /// FNV-1a over the spans closed during this frame (0 when tracing off).
+  std::uint64_t span_digest = 0;
+
+  /// Deadline slack (positive = met) in milliseconds.
+  double slack_ms() const {
+    return deadline_ms - (latency_ms + switch_us / 1000.0);
+  }
 };
 
 /// Aggregated run metrics.

@@ -6,8 +6,9 @@
 
 #include "sim/scenario_gen.h"
 #include "util/checks.h"
+#include "util/csv.h"
 #include "util/thread_pool.h"
-#include "util/wprof.h"
+#include "util/timer.h"
 
 namespace rrp::serve {
 namespace {
@@ -375,9 +376,7 @@ ServeReport ServeEngine::run(const std::vector<StreamSpec>& specs) {
     const std::size_t n = active_.size();
     slots.assign(n, TickSlot{});
     if (n > 0) {
-      // Measured tick fan-out time for the wall profiler (no-op unless
-      // --wall enabled it; strictly outside the deterministic channels).
-      wprof::ScopedTimer tick_timer("serve.tick");
+      const Timer tick_timer;
       parallel_for(0, static_cast<std::int64_t>(n), 1,
                    [&](std::int64_t begin, std::int64_t end) {
                      for (std::int64_t i = begin; i < end; ++i) {
@@ -390,6 +389,8 @@ ServeReport ServeEngine::run(const std::vector<StreamSpec>& specs) {
                            rec.executed_level, s.state->done()};
                      }
                    });
+      // Measured channel only: the report writers never read tick_wall.
+      if (config_.measure_wall) report.tick_wall.add(tick_timer.elapsed_us());
     }
 
     // 3. Fold on the driving thread, in stream-index (= admission) order.
@@ -549,6 +550,33 @@ ServeReport ServeEngine::run(const std::vector<StreamSpec>& specs) {
           : 1.0;
   report.incidents = slo.incidents();
   return report;
+}
+
+void WallStat::add(double us) {
+  ++count;
+  total_us += us;
+  max_us = std::max(max_us, us);
+}
+
+void add_wall_profile(const ServeReport& report, WallProfile& profile) {
+  for (const StreamResult& r : report.streams)
+    for (const sim::WallFrame& w : r.run.wall.frames)
+      profile["infer.L" + std::to_string(w.level)].add(w.infer_us);
+  if (report.tick_wall.count > 0) {
+    WallStat& tick = profile["serve.tick"];
+    tick.count += report.tick_wall.count;
+    tick.total_us += report.tick_wall.total_us;
+    tick.max_us = std::max(tick.max_us, report.tick_wall.max_us);
+  }
+}
+
+void write_wall_profile(const WallProfile& profile, std::ostream& out) {
+  TableFormatter table({"span", "count", "total_ms", "mean_us", "max_us"});
+  for (const auto& [span, st] : profile)
+    table.row({span, std::to_string(st.count),
+               rrp::fmt(st.total_us / 1000.0, 3), rrp::fmt(st.mean_us(), 3),
+               rrp::fmt(st.max_us, 3)});
+  table.print(out);
 }
 
 void write_serve_report(const ServeReport& report, std::ostream& out) {

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <map>
 #include <memory>
 
 #include "core/slo.h"
@@ -89,9 +90,9 @@ struct ServeConfig {
   /// Capture a FleetSnapshot every K ticks (serve/obs.h); 0 = never.
   int snapshot_every_ticks = 0;
   /// Measured wall-clock channel: per-frame infer wall times land in
-  /// each stream's RunResult::wall, and the util/wprof profiler (when
-  /// enabled) aggregates per-level/per-tick spans.  Never touches the
-  /// deterministic telemetry/trace/metrics channels.
+  /// each stream's RunResult::wall, and the fan-out time of every tick in
+  /// ServeReport::tick_wall.  Never touches the deterministic
+  /// telemetry/trace/metrics channels or the report writers.
   bool measure_wall = false;
   sim::PlatformConfig platform;
   sim::CriticalityConfig criticality;
@@ -114,6 +115,16 @@ struct StreamResult {
   /// 0 when the stream executed no frames).
   double p50_frame_ms = 0.0;
   double p99_frame_ms = 0.0;
+};
+
+/// Count, total and maximum of measured wall-clock samples.
+struct WallStat {
+  std::int64_t count = 0;
+  double total_us = 0.0;
+  double max_us = 0.0;
+
+  void add(double us);
+  double mean_us() const { return count > 0 ? total_us / count : 0.0; }
 };
 
 /// Final state of one burn-rate tracker after a run.
@@ -149,6 +160,8 @@ struct ServeReport {
   std::vector<FleetEvent> timeline;
   /// Periodic snapshots (config.snapshot_every_ticks; empty when 0).
   std::vector<FleetSnapshot> snapshots;
+  /// Measured wall time of each tick's fan-out (config.measure_wall only).
+  WallStat tick_wall;
 };
 
 /// Engine-owned policy wrapper: max(inner decision, fleet level floor).
@@ -237,6 +250,19 @@ class ServeEngine {
   std::unique_ptr<core::CompactedLadderProvider> shared_;
   std::vector<std::unique_ptr<ActiveStream>> active_;
 };
+
+/// The measured wall profile, keyed by span in sorted order.
+using WallProfile = std::map<std::string, WallStat>;
+
+/// Folds one run's measured channel into `profile`: every stream's
+/// RunResult::wall frames under "infer.L<level>", and the report's
+/// tick_wall under "serve.tick".  Adds nothing for a run without
+/// measure_wall.
+void add_wall_profile(const ServeReport& report, WallProfile& profile);
+
+/// The `serve --wall` profile table: span, count, total_ms, mean_us,
+/// max_us.
+void write_wall_profile(const WallProfile& profile, std::ostream& out);
 
 /// Human-readable report (the `rrp_cli serve` output).
 void write_serve_report(const ServeReport& report, std::ostream& out);

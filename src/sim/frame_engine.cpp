@@ -8,7 +8,6 @@
 #include "util/checks.h"
 #include "util/timer.h"
 #include "util/trace.h"
-#include "util/wprof.h"
 
 namespace rrp::sim {
 
@@ -82,7 +81,6 @@ void FrameEngine::step(StreamState& s) const {
   core::SafetyMonitor* monitor = controller.monitor();
   FaultHarness* harness = s.harness;
   const Scenario& scenario = *s.scenario;
-  core::FlightRecorder* recorder = config.flight_recorder;
   core::SloMonitor* slo = config.slo;
 
   const std::size_t f = s.frame;
@@ -272,6 +270,7 @@ void FrameEngine::step(StreamState& s) const {
   core::FrameRecord rec;
   rec.frame = input.frame;
   rec.criticality = classify_scene(scene, config.criticality);
+  rec.sensed_criticality = input.criticality;
   rec.requested_level = d.requested_level;
   rec.executed_level = controller.provider().current_level();
   rec.latency_ms = platform.latency_ms(macs) * faults.latency_scale;
@@ -286,16 +285,9 @@ void FrameEngine::step(StreamState& s) const {
   rec.true_violation =
       monitor != nullptr &&
       rec.executed_level > monitor->certified_max(rec.criticality);
-  s.result.telemetry.add(rec);
-  if (config.measure_wall) {
+  if (config.measure_wall)
     s.result.wall.frames.push_back({rec.frame, rec.executed_level,
                                     infer_wall_us, rec.latency_ms * 1000.0});
-    // Per-level measured breakdown for the wall-channel profiler.  Like
-    // RunResult::wall, this never touches telemetry/trace/metrics and
-    // wprof::record is a no-op unless --wall flipped the enable switch.
-    wprof::record("infer.L" + std::to_string(rec.executed_level),
-                  infer_wall_us);
-  }
 
   const double frame_ms = rec.latency_ms + rec.switch_us / 1000.0;
   frame_span.add_modeled_us(rec.latency_ms * 1000.0 + rec.switch_us);
@@ -337,62 +329,36 @@ void FrameEngine::step(StreamState& s) const {
     }
   }
 
-  // Black box + SLOs, last so watchdog/integrity interventions of THIS
-  // frame land in this frame's record.  Pure bookkeeping on the driving
-  // thread; byte-identical across RRP_THREADS like the rest of the
-  // observability layer.
-  if (recorder != nullptr || slo != nullptr) {
-    const std::int64_t detects =
-        monitor ? monitor->integrity_detect_count() : 0;
-    const std::int64_t repairs =
-        monitor ? monitor->integrity_repair_count() : 0;
-    const std::int64_t degrades =
-        monitor ? monitor->watchdog_degrade_count() : 0;
-    if (recorder != nullptr) {
-      core::FlightRecord fr;
-      fr.frame = rec.frame;
-      fr.criticality = static_cast<std::int32_t>(input.criticality);
-      fr.true_criticality = static_cast<std::int32_t>(rec.criticality);
-      fr.requested_level = rec.requested_level;
-      fr.executed_level = rec.executed_level;
-      fr.latency_ms = rec.latency_ms;
-      fr.switch_us = rec.switch_us;
-      fr.deadline_ms = rec.deadline_ms;
-      fr.energy_mj = rec.energy_mj;
-      fr.flags = (rec.correct ? core::FlightRecord::kCorrect : 0u) |
-                 (rec.veto ? core::FlightRecord::kVeto : 0u) |
-                 (rec.violation ? core::FlightRecord::kViolation : 0u) |
-                 (rec.true_violation ? core::FlightRecord::kTrueViolation
-                                     : 0u);
-      fr.integrity_detects =
-          static_cast<std::int32_t>(detects - s.prev_detects);
-      fr.integrity_repairs =
-          static_cast<std::int32_t>(repairs - s.prev_repairs);
-      fr.watchdog_degrades =
-          static_cast<std::int32_t>(degrades - s.prev_degrades);
-      fr.span_digest =
-          trace::enabled() ? core::span_window_digest(span_base) : 0;
-      recorder->record(fr);
-    }
-    if (slo != nullptr) {
-      if (rec.violation)
-        slo->note_event(rec.frame, "safety.violation",
-                        static_cast<double>(rec.executed_level),
-                        "executed level above certified max");
-      if (degrades > s.prev_degrades)
-        slo->note_event(rec.frame, "safety.watchdog_degrade",
-                        static_cast<double>(degrades - s.prev_degrades),
-                        "deadline watchdog forced certified level");
-      if (detects > s.prev_detects)
-        slo->note_event(rec.frame, "integrity.detect",
-                        static_cast<double>(detects - s.prev_detects),
-                        "scrub detected weight divergence");
-      slo->evaluate(rec.frame);
-    }
-    s.prev_detects = detects;
-    s.prev_repairs = repairs;
-    s.prev_degrades = degrades;
+  // Assurance deltas, span digest and SLOs last, so the watchdog and
+  // integrity interventions of THIS frame land in this frame's record.
+  // Pure bookkeeping on the driving thread; byte-identical across
+  // RRP_THREADS like the rest of the observability layer.
+  const std::int64_t detects = monitor ? monitor->integrity_detect_count() : 0;
+  const std::int64_t repairs = monitor ? monitor->integrity_repair_count() : 0;
+  const std::int64_t degrades = monitor ? monitor->watchdog_degrade_count() : 0;
+  rec.integrity_detects = static_cast<int>(detects - s.prev_detects);
+  rec.integrity_repairs = static_cast<int>(repairs - s.prev_repairs);
+  rec.watchdog_degrades = static_cast<int>(degrades - s.prev_degrades);
+  rec.span_digest = trace::enabled() ? core::span_window_digest(span_base) : 0;
+  s.result.telemetry.add(rec);
+  if (slo != nullptr) {
+    if (rec.violation)
+      slo->note_event(rec.frame, "safety.violation",
+                      static_cast<double>(rec.executed_level),
+                      "executed level above certified max");
+    if (rec.watchdog_degrades > 0)
+      slo->note_event(rec.frame, "safety.watchdog_degrade",
+                      static_cast<double>(rec.watchdog_degrades),
+                      "deadline watchdog forced certified level");
+    if (rec.integrity_detects > 0)
+      slo->note_event(rec.frame, "integrity.detect",
+                      static_cast<double>(rec.integrity_detects),
+                      "scrub detected weight divergence");
+    slo->evaluate(rec.frame);
   }
+  s.prev_detects = detects;
+  s.prev_repairs = repairs;
+  s.prev_degrades = degrades;
 
   ++s.frame;
 }

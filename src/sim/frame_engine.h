@@ -10,17 +10,18 @@
 // Split of responsibilities:
 //   - StreamState carries ALL mutable per-stream loop state: sensor-noise
 //     RNG, energy budget, perception estimator, fault-injector cursor,
-//     watchdog overrun count, carried switch cost, flight-recorder/SLO
-//     deltas, and the accumulating RunResult.  It is self-contained and
-//     movable, so a serving engine can hold an arbitrary, changing set of
-//     them.
+//     watchdog overrun count, carried switch cost, the monitor's
+//     assurance counts at the last frame, and the accumulating
+//     RunResult.  It is self-contained and movable, so a serving engine
+//     can hold an arbitrary, changing set of them.
 //   - FrameEngine holds the immutable per-stream configuration (RunConfig
 //     copy, platform model, input shape, cached metric handles) and steps
 //     a StreamState by exactly one frame.
 //
 // step() preserves the historical runner frame order exactly: span open,
 // fault begin_frame, sensed criticality, control, render, infer, account,
-// scrub, record, metrics, watchdog, flight-recorder/SLO — in that order.
+// scrub, metrics, watchdog, then the record (with its assurance deltas and
+// span digest) and the SLOs — in that order.
 #pragma once
 
 #include "sim/runner.h"
@@ -50,8 +51,9 @@ struct StreamState {
   // cost lands on the next frame's record.
   double carried_switch_us = 0.0;
   double carried_switch_energy = 0.0;
-  // Black-box / SLO bookkeeping: per-frame deltas of the monitor's
-  // assurance counts, and detection-latency credit for injected flips.
+  // The monitor's assurance counts at the end of the last frame (the
+  // record's per-frame deltas), and detection-latency credit for
+  // injected flips.
   std::int64_t prev_detects = 0;
   std::int64_t prev_repairs = 0;
   std::int64_t prev_degrades = 0;

@@ -1,5 +1,6 @@
 #include "sim/incident_replay.h"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -138,7 +139,6 @@ BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
   trace::set_enabled(spec.trace_enabled);
 
   BlackboxRunResult out;
-  core::FlightRecorder recorder(spec.recorder_capacity);
   core::SloMonitor slo(spec.slos.empty() ? core::standard_slos() : spec.slos);
   {
     core::ReversiblePruner rp(*inputs.net, *inputs.levels);
@@ -164,7 +164,6 @@ BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
     rc.self_heal = spec.self_heal;
     rc.watchdog_overrun_frames = spec.watchdog_overrun_frames;
     rc.noise_seed = spec.noise_seed;
-    rc.flight_recorder = &recorder;
     rc.slo = &slo;
 
     const Scenario scenario =
@@ -199,7 +198,12 @@ BlackboxRunResult run_blackbox(const BlackboxRunSpec& spec,
   out.bundle.slos = slo.specs();
   out.bundle.incidents = slo.incidents();
   out.bundle.dropped_incidents = slo.dropped_incidents();
-  out.bundle.records = recorder.window();
+  // The window: the run's last `recorder_capacity` telemetry records.
+  const std::vector<core::FrameRecord>& records = out.run.telemetry.records();
+  out.bundle.records.assign(
+      records.end() - static_cast<std::ptrdiff_t>(std::min(
+                          records.size(), spec.recorder_capacity)),
+      records.end());
   out.incident = slo.any_incident();
 
   trace::set_enabled(trace_was);

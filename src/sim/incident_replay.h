@@ -1,10 +1,11 @@
 // incident_replay.h — record and deterministically replay incident bundles.
 //
 // The sim-layer counterpart of core/flight_recorder.h.  run_blackbox runs
-// one closed loop with the flight recorder and SLO monitor armed and packs
-// the resulting IncidentBundle; replay_bundle rebuilds the entire run from
-// nothing but a bundle (suite + seeds + policy + fault schedule + SLO
-// specs) and a provisioned model, re-runs it, and compares.  Because every
+// one closed loop with the SLO monitor armed and packs the resulting
+// IncidentBundle around the last records of the run's telemetry;
+// replay_bundle rebuilds the entire run from nothing but a bundle (suite
+// + seeds + policy + fault schedule + SLO specs) and a provisioned model,
+// re-runs it, and compares.  Because every
 // layer underneath is deterministic (seeded Rng, modeled platform time,
 // thread-count-invariant kernels and observability), a successful replay
 // is byte-identical: the replayed bundle serializes to the same bytes as
@@ -44,7 +45,7 @@ struct BlackboxRunSpec {
   int sensing_delay_frames = 1;
   bool self_heal = true;
   bool trace_enabled = false;  ///< arm span tracing (span digests in records)
-  std::size_t recorder_capacity = 256;
+  std::size_t recorder_capacity = 256;  ///< records in the bundle window
   FaultPlan faults;
   std::vector<core::SloSpec> slos;  ///< empty -> core::standard_slos()
 };
@@ -59,7 +60,8 @@ struct BlackboxRunResult {
 };
 
 /// Runs the closed loop (reversible provider + integrity scrubbing) with
-/// the recorder and SLO monitor armed, and packs the incident bundle.
+/// the SLO monitor armed, and packs the incident bundle: its window is the
+/// run's last `recorder_capacity` telemetry records.
 /// Owns the process observability state for the duration of the call:
 /// metrics and trace are reset before AND after, and span tracing is
 /// armed per `spec.trace_enabled` (previous state restored).  The
@@ -72,7 +74,7 @@ struct ReplayResult {
   /// The headline verdict: the replayed bundle serializes to EXACTLY the
   /// recorded bundle's bytes.
   bool match = false;
-  bool records_match = false;    ///< recorder-window CSVs byte-equal
+  bool records_match = false;    ///< window CSVs byte-equal
   bool telemetry_match = false;  ///< full-run telemetry digests equal
   bool incidents_match = false;  ///< same incidents at the same frames
   std::string recorded_csv;      ///< window CSV from the bundle

@@ -16,8 +16,7 @@
 #include "sim/vision_task.h"
 
 namespace rrp::core {
-class FlightRecorder;  // core/flight_recorder.h
-class SloMonitor;      // core/slo.h
+class SloMonitor;  // core/slo.h
 }  // namespace rrp::core
 
 namespace rrp::sim {
@@ -70,10 +69,6 @@ struct RunConfig {
   CriticalityConfig criticality;
   VisionTaskConfig vision;
   std::uint64_t noise_seed = 1234;  ///< sensor-noise stream
-  /// Optional black-box flight recorder: fed one FlightRecord per frame
-  /// (criticality, levels, slack, assurance deltas, span digest).  Pure
-  /// driving-thread bookkeeping — no effect on the run itself.
-  core::FlightRecorder* flight_recorder = nullptr;
   /// Optional SLO monitor: evaluated once per frame against the metrics
   /// registry; certified-level violations, watchdog degrades and integrity
   /// detections are additionally noted as direct incidents.

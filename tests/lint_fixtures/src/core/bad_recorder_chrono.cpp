@@ -6,6 +6,6 @@
 #include <chrono>
 #include "sim/runner.h"
 
-// Wall-clock timestamps in a flight record would make bundles
+// Wall-clock timestamps in a frame record would make bundles
 // host-dependent and break byte-identical replay.
 std::chrono::steady_clock::time_point recorded_at;

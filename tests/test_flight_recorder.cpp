@@ -1,29 +1,31 @@
-// test_flight_recorder.cpp — black-box ring buffer + incident-bundle
-// serialization (core/flight_recorder.h): ring semantics, the binary
-// round-trip, checksum/truncation failure modes, CSV/summary rendering.
+// test_flight_recorder.cpp — incident-bundle serialization
+// (core/flight_recorder.h): the binary round-trip, checksum/truncation
+// failure modes, CSV/summary rendering.  The bundle window itself (the
+// run's last N telemetry records) is checked in test_incident_replay.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
 #include "core/flight_recorder.h"
+#include "core/integrity.h"
 #include "util/checks.h"
 
 namespace rrp::core {
 namespace {
 
-FlightRecord make_record(std::int64_t frame) {
-  FlightRecord r;
+FrameRecord make_record(std::int64_t frame) {
+  FrameRecord r;
   r.frame = frame;
-  r.criticality = static_cast<std::int32_t>(frame % 4);
-  r.true_criticality = static_cast<std::int32_t>((frame + 1) % 4);
+  r.sensed_criticality = static_cast<CriticalityClass>(frame % 4);
+  r.criticality = static_cast<CriticalityClass>((frame + 1) % 4);
   r.requested_level = 2;
-  r.executed_level = static_cast<std::int32_t>(frame % 3);
+  r.executed_level = static_cast<int>(frame % 3);
   r.latency_ms = 3.25 + 0.001 * static_cast<double>(frame);
   r.switch_us = 40.0;
   r.deadline_ms = 5.0;
   r.energy_mj = 1.5;
-  r.flags = FlightRecord::kCorrect;
+  r.correct = true;
   r.integrity_detects = frame % 7 == 0 ? 1 : 0;
   r.span_digest = 0x1234u + static_cast<std::uint64_t>(frame);
   return r;
@@ -78,52 +80,65 @@ IncidentBundle bundle_from_string(const std::string& bytes) {
   return read_incident_bundle(is);
 }
 
-TEST(FlightRecorder, RingKeepsNewestWindowInOrder) {
-  FlightRecorder rec(8);
-  EXPECT_EQ(rec.capacity(), 8u);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_TRUE(rec.window().empty());
+// The four outcome bools travel as one flags word; every combination must
+// survive the round trip and render in the CSV, next to the slack.
+TEST(IncidentBundle, FlagsRoundTripAndSlackRendersInCsv) {
+  IncidentBundle bundle = make_bundle(0);
+  for (int bits = 0; bits < 16; ++bits) {
+    FrameRecord r = make_record(bits);
+    r.correct = (bits & 1) != 0;
+    r.veto = (bits & 2) != 0;
+    r.violation = (bits & 4) != 0;
+    r.true_violation = (bits & 8) != 0;
+    bundle.records.push_back(r);
+  }
+  const IncidentBundle back = bundle_from_string(bundle_to_string(bundle));
+  ASSERT_EQ(back.records.size(), 16u);
+  for (int bits = 0; bits < 16; ++bits) {
+    const FrameRecord& r = back.records[static_cast<std::size_t>(bits)];
+    EXPECT_EQ(r.correct, (bits & 1) != 0) << bits;
+    EXPECT_EQ(r.veto, (bits & 2) != 0) << bits;
+    EXPECT_EQ(r.violation, (bits & 4) != 0) << bits;
+    EXPECT_EQ(r.true_violation, (bits & 8) != 0) << bits;
+  }
 
-  for (std::int64_t f = 0; f < 20; ++f) rec.record(make_record(f));
-  EXPECT_EQ(rec.size(), 8u);
-  EXPECT_EQ(rec.total_recorded(), 20);
-
-  const std::vector<FlightRecord> window = rec.window();
-  ASSERT_EQ(window.size(), 8u);
-  for (std::size_t i = 0; i < window.size(); ++i)
-    EXPECT_EQ(window[i].frame, static_cast<std::int64_t>(12 + i))
-        << "oldest-to-newest order, frames 12..19";
-
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0);
-}
-
-TEST(FlightRecorder, PartialFillPreservesEverything) {
-  FlightRecorder rec(256);
-  for (std::int64_t f = 0; f < 5; ++f) rec.record(make_record(f));
-  const std::vector<FlightRecord> window = rec.window();
-  ASSERT_EQ(window.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i)
-    EXPECT_EQ(window[i].frame, static_cast<std::int64_t>(i));
-}
-
-TEST(FlightRecorder, ZeroCapacityIsRejected) {
-  EXPECT_THROW(FlightRecorder(0), PreconditionError);
-}
-
-TEST(FlightRecord, FlagHelpersAndSlack) {
-  FlightRecord r;
-  r.flags = FlightRecord::kCorrect | FlightRecord::kViolation;
-  EXPECT_TRUE(r.correct());
-  EXPECT_FALSE(r.veto());
-  EXPECT_TRUE(r.violation());
-  EXPECT_FALSE(r.true_violation());
-
+  FrameRecord r;
   r.deadline_ms = 5.0;
   r.latency_ms = 3.0;
   r.switch_us = 500.0;  // 0.5 ms
   EXPECT_NEAR(r.slack_ms(), 1.5, 1e-12);
+  r.correct = true;
+  r.violation = true;
+  bundle.records = {r};
+  const std::string csv = incident_csv_string(bundle);
+  EXPECT_NE(csv.find(",3.0000,500.00,5.00,1.5000,"), std::string::npos)
+      << csv;
+  EXPECT_NE(csv.find(",1,0,1,0,"), std::string::npos) << csv;
+}
+
+// Bytes with a valid checksum but a record field the codec never writes
+// must still fail: an out-of-range criticality or an unknown flag bit.
+TEST(IncidentBundle, OutOfRangeRecordFieldsAreRejected) {
+  const std::string bytes = bundle_to_string(make_bundle(1));
+  // The only record is the last 80 bytes before the checksum: frame (8),
+  // sensed criticality (4), true criticality (4), ... flags at +56.
+  const std::size_t rec = bytes.size() - 8 - 80;
+  const auto reseal = [](std::string body) {
+    body.resize(body.size() - 8);
+    const std::uint64_t sum = fnv1a64(body.data(), body.size());
+    for (int i = 0; i < 8; ++i)
+      body.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
+    return body;
+  };
+  EXPECT_NO_THROW(bundle_from_string(reseal(bytes)));
+
+  std::string bad_crit = bytes;
+  bad_crit[rec + 8] = static_cast<char>(kCriticalityClasses);
+  EXPECT_THROW(bundle_from_string(reseal(bad_crit)), SerializationError);
+
+  std::string bad_flags = bytes;
+  bad_flags[rec + 56] = static_cast<char>(0x10);
+  EXPECT_THROW(bundle_from_string(reseal(bad_flags)), SerializationError);
 }
 
 TEST(IncidentBundle, RoundTripPreservesEveryField) {
@@ -162,7 +177,10 @@ TEST(IncidentBundle, RoundTripPreservesEveryField) {
   for (std::size_t i = 0; i < back.records.size(); ++i) {
     EXPECT_EQ(back.records[i].frame, bundle.records[i].frame);
     EXPECT_EQ(back.records[i].latency_ms, bundle.records[i].latency_ms);
-    EXPECT_EQ(back.records[i].flags, bundle.records[i].flags);
+    EXPECT_EQ(back.records[i].correct, bundle.records[i].correct);
+    EXPECT_EQ(back.records[i].sensed_criticality,
+              bundle.records[i].sensed_criticality);
+    EXPECT_EQ(back.records[i].criticality, bundle.records[i].criticality);
     EXPECT_EQ(back.records[i].span_digest, bundle.records[i].span_digest);
   }
 

@@ -13,11 +13,13 @@
 //   (4) the per-stream frame-time histograms merge bucket-for-bucket
 //       into the fleet histogram (they observe the same fold values over
 //       the same bounds);
-//   (5) the wall profiler stays a disabled-by-default no-op and never
-//       appears in any deterministic artifact.
+//   (5) the measured wall channel is purely additive: its profile is
+//       built after the run from RunResult::wall and ServeReport::
+//       tick_wall, and no deterministic artifact changes when it is on.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +33,6 @@
 #include "util/checks.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
-#include "util/wprof.h"
 
 namespace rrp::serve {
 namespace {
@@ -160,9 +161,11 @@ TEST(PrometheusExposition, RendersFamiliesLabelsAndCumulativeBuckets) {
 
 core::BurnRateConfig tiny_burn() {
   core::BurnRateConfig cfg;
-  cfg.id = "burn.test";
-  cfg.numerator = "n";
-  cfg.denominator = "d";
+  // Constructed strings, not `= "n"`: GCC 12 at -O3 raises a false
+  // -Wrestrict on assigning a short literal here.
+  cfg.id = std::string("burn.test");
+  cfg.numerator = std::string("n");
+  cfg.denominator = std::string("d");
   cfg.budget = 0.25;
   cfg.fast_window = 2;
   cfg.slow_window = 4;
@@ -239,36 +242,65 @@ TEST(BurnRate, RejectsDegenerateConfigs) {
 }
 
 // ---------------------------------------------------------------------------
-// wprof: the measured channel stays opt-in and out of everything gated.
+// The measured wall profile: built after the run, in sorted span order.
 // ---------------------------------------------------------------------------
 
-TEST(Wprof, DisabledRecordIsANoOp) {
-  wprof::set_enabled(false);
-  wprof::reset();
-  wprof::record("x", 5.0);
-  { wprof::ScopedTimer t("y"); }
-  EXPECT_TRUE(wprof::stats().empty());
-  EXPECT_EQ(wprof::csv_string(), "key,count,total_us,mean_us,max_us\n");
+ServeReport measured_report(std::vector<std::vector<sim::WallFrame>> streams,
+                            std::vector<double> ticks_us) {
+  ServeReport report;
+  for (std::vector<sim::WallFrame>& frames : streams) {
+    StreamResult r;
+    r.run.wall.enabled = true;
+    r.run.wall.frames = std::move(frames);
+    report.streams.push_back(std::move(r));
+  }
+  for (double us : ticks_us) report.tick_wall.add(us);
+  return report;
 }
 
-TEST(Wprof, EnabledAggregatesInSortedKeyOrder) {
-  wprof::reset();
-  wprof::set_enabled(true);
-  wprof::record("infer.L2", 5.0);
-  wprof::record("infer.L2", 7.0);
-  wprof::record("infer.L0", 1.0);
-  wprof::set_enabled(false);
+TEST(WallProfile, RunWithoutMeasurementAddsNothing) {
+  ServeReport report;
+  report.streams.resize(3);
+  WallProfile profile;
+  add_wall_profile(report, profile);
+  EXPECT_TRUE(profile.empty());
+  std::ostringstream os;
+  write_wall_profile(profile, os);
+  EXPECT_NE(os.str().find("span"), std::string::npos);
+  EXPECT_EQ(os.str().find("infer.L"), std::string::npos);
+}
 
-  const std::vector<wprof::Stat> stats = wprof::stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].key, "infer.L0") << "sorted key order";
-  EXPECT_EQ(stats[1].key, "infer.L2");
-  EXPECT_EQ(stats[1].count, 2);
-  EXPECT_DOUBLE_EQ(stats[1].total_us, 12.0);
-  EXPECT_DOUBLE_EQ(stats[1].mean_us(), 6.0);
-  EXPECT_DOUBLE_EQ(stats[1].max_us, 7.0);
-  wprof::reset();
-  EXPECT_TRUE(wprof::stats().empty());
+TEST(WallProfile, FoldsRunsInSortedSpanOrder) {
+  const ServeReport a = measured_report(
+      {{{0, 2, 5.0, 0.0}, {1, 2, 7.0, 0.0}}, {{0, 0, 1.0, 0.0}}}, {20.0});
+  const ServeReport b = measured_report({{{0, 2, 3.0, 0.0}}}, {10.0, 40.0});
+  WallProfile profile;
+  add_wall_profile(a, profile);
+  add_wall_profile(b, profile);
+
+  ASSERT_EQ(profile.size(), 3u);
+  auto it = profile.begin();
+  EXPECT_EQ(it->first, "infer.L0");
+  EXPECT_EQ(it->second.count, 1);
+  ++it;
+  EXPECT_EQ(it->first, "infer.L2");
+  EXPECT_EQ(it->second.count, 3);
+  EXPECT_DOUBLE_EQ(it->second.total_us, 15.0);
+  EXPECT_DOUBLE_EQ(it->second.mean_us(), 5.0);
+  EXPECT_DOUBLE_EQ(it->second.max_us, 7.0);
+  ++it;
+  EXPECT_EQ(it->first, "serve.tick");
+  EXPECT_EQ(it->second.count, 3);
+  EXPECT_DOUBLE_EQ(it->second.total_us, 70.0);
+  EXPECT_DOUBLE_EQ(it->second.max_us, 40.0);
+
+  std::ostringstream os;
+  write_wall_profile(profile, os);
+  const std::string table = os.str();
+  for (const char* col : {"span", "count", "total_ms", "mean_us", "max_us"})
+    EXPECT_NE(table.find(col), std::string::npos) << col;
+  EXPECT_LT(table.find("infer.L0"), table.find("infer.L2"));
+  EXPECT_LT(table.find("infer.L2"), table.find("serve.tick"));
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +474,53 @@ TEST_F(ObsFixture, ReportCarriesTailsBurnAlertsAndConsistentTimeline) {
   EXPECT_NE(js.str().find("\"burn_alerts\":["), std::string::npos);
   EXPECT_NE(js.str().find("\"timeline\":["), std::string::npos);
   EXPECT_NE(js.str().find("\"streams\":["), std::string::npos);
+}
+
+// measure_wall only adds the measured channel: every deterministic byte
+// of the run is the same with it on, and its profile accounts for every
+// executed frame and every tick that fanned out.
+TEST_F(ObsFixture, MeasuredWallChannelIsPurelyAdditive) {
+  const std::vector<StreamSpec> specs = small_fleet(40);
+  const auto artifacts = [](const ServeReport& report) {
+    std::ostringstream os;
+    write_serve_report(report, os);
+    write_serve_report_json(report, os);
+    for (const FleetSnapshot& s : report.snapshots) os << s.json << s.prom;
+    os << timeline_csv(report.timeline);
+    for (const StreamResult& r : report.streams) r.run.telemetry.write_csv(os);
+    return os.str();
+  };
+
+  ServeEngine off_engine(inputs_, contended_config());
+  const ServeReport off = off_engine.run(specs);
+  ServeConfig cfg = contended_config();
+  cfg.measure_wall = true;
+  ServeEngine on_engine(inputs_, cfg);
+  const ServeReport on = on_engine.run(specs);
+  ASSERT_FALSE(off.snapshots.empty());
+  EXPECT_EQ(artifacts(on), artifacts(off));
+
+  WallProfile none;
+  add_wall_profile(off, none);
+  EXPECT_TRUE(none.empty());
+
+  WallProfile profile;
+  add_wall_profile(on, profile);
+  std::int64_t infer_frames = 0;
+  for (const auto& [span, st] : profile)
+    if (span.rfind("infer.L", 0) == 0) infer_frames += st.count;
+  EXPECT_EQ(infer_frames, on.frames);
+
+  // A stream steps once per tick from its admission, so the ticks that
+  // fanned out are the union of the streams' executed ranges.
+  std::set<std::int64_t> fanned;
+  for (const StreamResult& r : on.streams)
+    for (std::int64_t f = 0; f < r.frames_executed; ++f)
+      fanned.insert(r.admitted_tick + f);
+  ASSERT_EQ(profile.count("serve.tick"), 1u);
+  EXPECT_EQ(profile.at("serve.tick").count,
+            static_cast<std::int64_t>(fanned.size()));
+  EXPECT_GT(profile.at("serve.tick").total_us, 0.0);
 }
 
 }  // namespace

@@ -76,9 +76,9 @@
 //        --out FILE      also write the report to FILE
 //        --report-json F machine-readable report (schema-versioned JSON)
 //        --wall 1        enable the measured wall-clock channel: per-frame
-//                        infer wall times plus the util/wprof sampling
-//                        profiler (per-level/per-tick spans, printed after
-//                        the report; never gated, never deterministic)
+//                        infer wall times and per-tick fan-out times,
+//                        printed after the report as a per-level/per-tick
+//                        profile (never gated, never deterministic)
 //        --snapshot-every K  capture a fleet snapshot every K ticks
 //        --snapshot-out BASE write BASE_tick<N>.json / .prom per snapshot
 //                        plus BASE_timeline.csv (implies --snapshot-every
@@ -94,8 +94,8 @@
 //   rrp_cli inspect <file.rrpn>            dump a serialized network
 //   rrp_cli blackbox dump <model> <suite> [opts]
 //                                          closed-loop fault run with the
-//                                          flight recorder + SLO monitor
-//                                          armed; dumps an incident bundle
+//                                          SLO monitor armed; dumps an
+//                                          incident bundle
 //                                          (BASE.rrpb + BASE.csv) when any
 //                                          SLO incident fires
 //        --frames N      (default 600)
@@ -106,7 +106,7 @@
 //        --scrub N       scrub period frames (default 20)
 //        --watchdog N    watchdog overrun frames (default 8)
 //        --deadline MS   (default 12.0)
-//        --capacity N    recorder ring capacity (default 256)
+//        --capacity N    records in the bundle window (default 256)
 //        --trace 1       arm span tracing (span digests in the records)
 //        --out BASE      output basename (default blackbox_<model>_<suite>)
 //        --force 1       dump even when no incident fired
@@ -154,7 +154,6 @@
 #include "util/log.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
-#include "util/wprof.h"
 
 using namespace rrp;
 
@@ -766,7 +765,7 @@ int cmd_campaign(models::ModelKind kind, const std::string& spec_path,
   }
 
   if (!opt.dump_bundles) return 0;
-  // Re-run each worst cell serially under the flight recorder and pack a
+  // Re-run each worst cell serially under the black box and pack a
   // self-contained incident bundle ("dsl:" suite string), so the exact
   // worst runs of the campaign replay byte-identically via
   // `rrp_cli blackbox replay`.
@@ -842,22 +841,15 @@ int cmd_serve(models::ModelKind kind, const ServeCliOptions& opt) {
   }
 
   serve::ServeEngine engine(inputs, cfg);
-  if (opt.wall) {
-    wprof::reset();
-    wprof::set_enabled(true);
-  }
   const serve::ServeReport report = engine.run(specs);
-  if (opt.wall) wprof::set_enabled(false);
   serve::write_serve_report(report, std::cout);
   if (opt.wall) {
     // Measured wall-clock channel only: never part of the byte-identity
-    // contract, never consumed by gates or tests.
+    // contract, never consumed by gates.
+    serve::WallProfile profile;
+    serve::add_wall_profile(report, profile);
     std::cout << "\nwall profile (measured; excluded from every gate):\n";
-    TableFormatter table({"span", "count", "total_ms", "mean_us", "max_us"});
-    for (const wprof::Stat& s : wprof::stats())
-      table.row({s.key, std::to_string(s.count), fmt(s.total_us / 1000.0, 3),
-                 fmt(s.mean_us(), 3), fmt(s.max_us, 3)});
-    table.print(std::cout);
+    serve::write_wall_profile(profile, std::cout);
   }
   if (!opt.out.empty()) {
     if (!write_output_file(opt.out, [&](std::ostream& o) {

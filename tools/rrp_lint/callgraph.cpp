@@ -593,7 +593,7 @@ void scan_body_lines(const ParsedFile& pf, const FunctionDef& d,
     if (io)
       out->push_back({pf.rel_path, l, "frame-path-io",
                       "IO on the frame path" + ctx +
-                          ": record to the flight recorder / metrics "
+                          ": record to telemetry / metrics "
                           "instead (DESIGN.md invariant 14)"});
     if (has_token(s, "throw"))
       out->push_back({pf.rel_path, l, "frame-path-throw",
